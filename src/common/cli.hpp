@@ -52,7 +52,7 @@ class Args {
       double lo = -std::numeric_limits<double>::infinity(),
       double hi = std::numeric_limits<double>::infinity()) const;
 
-  /// Checked getter for enum-valued flags (--timing-tier, --cache-policy):
+  /// Checked getter for enum-valued flags (e.g. --cache-policy):
   /// returns the flag's value (or `def` when the flag is absent) only when
   /// it is one of `valid`; anything else throws tlp::UsageError with a
   /// diagnostic naming the flag, the offending value, and the full valid

@@ -11,12 +11,10 @@
 #include <array>
 #include <cstdint>
 
-#include "sim/analytical.hpp"
 #include "sim/cache.hpp"
 #include "sim/counters.hpp"
 #include "sim/device_memory.hpp"
 #include "sim/gpu_spec.hpp"
-#include "sim/timing.hpp"
 #include "sim/trace.hpp"
 
 namespace tlp::sim {
@@ -49,13 +47,6 @@ struct MemorySystem {
   AccessTrace* trace = nullptr;
   /// Tests can disable tag simulation to get pure compulsory traffic.
   bool model_caches = true;
-  /// Which timing backend prices the access stream (sim/timing.hpp). The
-  /// functional layer — data movement, lane masks, byte counts, atomic
-  /// ordering — is identical under both tiers.
-  TimingTier tier = TimingTier::kMechanistic;
-  /// Per-region accumulators for the analytical tier; unused (and never
-  /// touched) under the mechanistic tier.
-  AnalyticalTiming analytical;
 
   explicit MemorySystem(const GpuSpec& s);
   void reset_caches();
@@ -209,23 +200,23 @@ class WarpCtx {
   void request(const std::array<std::uint64_t, kWarpSize>& addr, Mask m,
                int bytes_per_lane, Op op, bool scalar = false);
 
-  /// Accounting for a request whose active lanes all fall in one 128 B line
-  /// (`smask` = the 4-bit 32 B-sector mask within it): one probe, no dedup.
-  /// Shared by the fused lane-loop scans in the vector load/store entry
-  /// points and by request()'s own single-line detection, so both paths
-  /// produce byte-identical counters and costs.
-  void request_one_line(std::uint64_t line0, std::uint32_t smask, Op op);
-
   /// A deduplicated 128 B line with the mask of its touched 32 B sectors.
   struct SectorLine {
     std::uint64_t line;
     std::uint32_t sectors;
   };
 
-  /// Probes and accounts `nlines` deduplicated lines in order — the shared
-  /// core of the general gather/scatter path and the two-line sequential
-  /// case. Includes the per-request counters (requests, issue).
+  /// The timing model: probes `nlines` deduplicated lines in order against
+  /// the L1/L2 tag arrays, charges the request's latency, and records its
+  /// traffic and per-request counters (requests, issue). Every access entry
+  /// point prices through here and nowhere else.
   void request_lines(const SectorLine* lines, int nlines, Op op);
+
+  /// A request whose active lanes all fall in one 128 B line (`smask` = the
+  /// 4-bit 32 B-sector mask within it): a one-element request_lines call,
+  /// with no dedup pass. Used by the fused lane-loop scans in the vector
+  /// load/store entry points and by request()'s own single-line detection.
+  void request_one_line(std::uint64_t line0, std::uint32_t smask, Op op);
 
   /// General multi-line path: dedupes lane addresses into lines with
   /// per-line sector masks (first-occurrence order) and probes each.
@@ -245,14 +236,6 @@ class WarpCtx {
   /// address array. Produces exactly the counters/costs request() would for
   /// mask 0x1, including the identical TraceAccess when a trace is attached.
   void request_scalar(std::uint64_t addr, int bytes_per_lane, Op op);
-
-  // --- analytical-tier accounting twins ------------------------------------
-  // The functional counters (requests, sectors, bytes_store/atomic, issue)
-  // and the exact atomic charges match the mechanistic accounting; cache
-  // probes are replaced by one O(1) note into the per-region accumulator and
-  // loads carry a provisional flat charge that finalize() corrects.
-  void analytical_one_line(std::uint64_t line0, std::uint32_t smask, Op op);
-  void analytical_lines(const SectorLine* lines, int nlines, Op op);
 
   /// Cold path: builds and records the TraceAccess for an attached tlpsan
   /// trace. Kept out of line so the (trace == nullptr) common case pays only

@@ -1,46 +1,50 @@
-# CLI regression check (ISSUE 10): enum-valued flags must reject unknown
-# values with exit code 2 and a diagnostic that names the valid set, across
-# every tool that parses one — never fall through to a default or die with a
-# generic CheckError (exit 1). Invoked by ctest as
+# CLI regression check: a flag a tool does not know, or an enum-valued flag
+# given a value outside its set, must exit with code 2 and a diagnostic
+# naming the flag — never fall through to a default or die with a generic
+# CheckError (exit 1). Invoked by ctest as
 #   cmake -DTLPBENCH=... -DTLPGNN_CLI=... -DTLPSERVE=... -DBASELINE=...
 #         -P check_cli_enums.cmake
 
-# Case 1: tlpbench --timing-tier with a value that is not a tier.
+# Case 1: tlpbench rejects a flag it no longer has (the removed
+# --timing-tier) before any bench runs.
 execute_process(
   COMMAND "${TLPBENCH}" run --only table1 --max-edges 5000
-          --timing-tier warp
+          --timing-tier analytical
           --out "${CMAKE_CURRENT_BINARY_DIR}/cli_enums_unused.json"
           --baseline "${BASELINE}"
   RESULT_VARIABLE rc1
   ERROR_VARIABLE err1
   OUTPUT_QUIET)
 if(NOT rc1 EQUAL 2)
-  message(FATAL_ERROR "tlpbench bad --timing-tier: expected exit 2, got ${rc1}")
+  message(FATAL_ERROR "tlpbench --timing-tier: expected exit 2, got ${rc1}")
 endif()
-if(NOT err1 MATCHES "timing-tier" OR NOT err1 MATCHES "valid:.*analytical")
+if(NOT err1 MATCHES "unknown flag --timing-tier")
   message(FATAL_ERROR
-          "tlpbench bad --timing-tier: diagnostic must name the flag and the "
-          "valid set, got: ${err1}")
+          "tlpbench --timing-tier: diagnostic must name the flag, got: ${err1}")
 endif()
 # The rejected run must not have left a report behind.
 if(EXISTS "${CMAKE_CURRENT_BINARY_DIR}/cli_enums_unused.json")
   message(FATAL_ERROR "rejected tlpbench run wrote a report; it must not")
 endif()
 
-# Case 2: tlpgnn_cli --timing-tier, same contract on the other front end.
+# Case 2: tlpgnn_cli, same contract on the other front end. The rejected run
+# must not get as far as printing a profile.
 execute_process(
-  COMMAND "${TLPGNN_CLI}" run --max-edges 2000 --timing-tier bogus
+  COMMAND "${TLPGNN_CLI}" run --max-edges 2000 --timing-tier analytical
   RESULT_VARIABLE rc2
   ERROR_VARIABLE err2
-  OUTPUT_QUIET)
+  OUTPUT_VARIABLE out2)
 if(NOT rc2 EQUAL 2)
-  message(FATAL_ERROR
-          "tlpgnn_cli bad --timing-tier: expected exit 2, got ${rc2}")
+  message(FATAL_ERROR "tlpgnn_cli --timing-tier: expected exit 2, got ${rc2}")
 endif()
-if(NOT err2 MATCHES "timing-tier" OR NOT err2 MATCHES "valid:.*mech")
+if(NOT err2 MATCHES "unknown flag --timing-tier")
   message(FATAL_ERROR
-          "tlpgnn_cli bad --timing-tier: diagnostic must name the flag and "
-          "the valid set, got: ${err2}")
+          "tlpgnn_cli --timing-tier: diagnostic must name the flag, got: "
+          "${err2}")
+endif()
+if(NOT out2 STREQUAL "")
+  message(FATAL_ERROR
+          "rejected tlpgnn_cli run printed output; it must not: ${out2}")
 endif()
 
 # Case 3: tlpserve --cache-policy, the pre-existing enum flag swept into the
@@ -58,18 +62,4 @@ if(NOT err3 MATCHES "cache-policy" OR NOT err3 MATCHES "valid:.*presample")
   message(FATAL_ERROR
           "tlpserve bad --cache-policy: diagnostic must name the flag and "
           "the valid set, got: ${err3}")
-endif()
-
-# Case 4: valid aliases still parse — "mechanistic" is an accepted spelling
-# of the default tier, so the checked getter must not be stricter than the
-# documented set.
-execute_process(
-  COMMAND "${TLPGNN_CLI}" run --max-edges 2000 --timing-tier mechanistic
-  RESULT_VARIABLE rc4
-  ERROR_VARIABLE err4
-  OUTPUT_QUIET)
-if(NOT rc4 EQUAL 0)
-  message(FATAL_ERROR
-          "tlpgnn_cli --timing-tier mechanistic: expected exit 0, got ${rc4} "
-          "(${err4})")
 endif()

@@ -3,6 +3,8 @@
 // warp collectives.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "sim/warp.hpp"
 
 namespace tlp::sim {
@@ -177,6 +179,156 @@ TEST_F(WarpFixture, CacheModelCanBeDisabled) {
   EXPECT_EQ(rec.l1_accesses, 0);
   // Without caches every sector is compulsory traffic.
   EXPECT_EQ(rec.bytes_load, 2 * 4 * 32);
+}
+
+// --- front ends against the general gather/scatter --------------------------
+// The _seq entry points must price exactly like the general path with
+// idx[l] = start + l under lanes_below(n), and the scalar ones exactly like a
+// one-lane general request. Each case runs its access twice (cold, then warm)
+// on two fresh, identical memory systems, then compares counters, costs and
+// data, and finally the cache state a follow-up probe sees.
+
+struct Side {
+  Side() : sys(GpuSpec::v100()) {
+    sys.rec = &rec;
+    data = sys.mem.alloc<float>(4096);
+    auto v = sys.mem.view(data);
+    for (std::size_t i = 0; i < v.size(); ++i)
+      v[i] = static_cast<float>(i);
+  }
+
+  MemorySystem sys;
+  KernelRecord rec;
+  DevPtr<float> data;
+};
+
+void expect_same_pricing(const Side& a, const WarpCtx& wa, const Side& b,
+                         const WarpCtx& wb, const std::string& label) {
+  EXPECT_EQ(a.rec.requests, b.rec.requests) << label;
+  EXPECT_EQ(a.rec.sectors, b.rec.sectors) << label;
+  EXPECT_EQ(a.rec.bytes_load, b.rec.bytes_load) << label;
+  EXPECT_EQ(a.rec.bytes_store, b.rec.bytes_store) << label;
+  EXPECT_EQ(a.rec.bytes_atomic, b.rec.bytes_atomic) << label;
+  EXPECT_EQ(a.rec.bytes_dram, b.rec.bytes_dram) << label;
+  EXPECT_EQ(a.rec.l1_accesses, b.rec.l1_accesses) << label;
+  EXPECT_EQ(a.rec.l1_hits, b.rec.l1_hits) << label;
+  EXPECT_EQ(a.rec.l2_accesses, b.rec.l2_accesses) << label;
+  EXPECT_EQ(a.rec.l2_hits, b.rec.l2_hits) << label;
+  EXPECT_EQ(a.rec.atomic_ops, b.rec.atomic_ops) << label;
+  EXPECT_EQ(a.rec.atomic_stall_cycles, b.rec.atomic_stall_cycles) << label;
+  EXPECT_EQ(wa.issue_cycles(), wb.issue_cycles()) << label;
+  EXPECT_EQ(wa.mem_cycles(), wb.mem_cycles()) << label;
+}
+
+/// Runs `front` on one side and `general` on the other (each twice), then
+/// checks that pricing, data and cache state agree.
+template <class Front, class General>
+void expect_front_matches_general(const std::string& label,
+                                  std::int64_t start, Front&& front,
+                                  General&& general) {
+  Side a, b;
+  WarpCtx wa(a.sys, 0), wb(b.sys, 0);
+  for (int round = 0; round < 2; ++round) {
+    front(wa, a.data);
+    general(wb, b.data);
+  }
+  expect_same_pricing(a, wa, b, wb, label);
+  const auto va = a.sys.mem.view(a.data);
+  const auto vb = b.sys.mem.view(b.data);
+  for (std::size_t i = 0; i < va.size(); ++i)
+    ASSERT_EQ(va[i], vb[i]) << label << " element " << i;
+
+  // Tag state around the touched lines, then a follow-up probe whose hits
+  // depend on residency and LRU order.
+  const std::uint64_t first_line = a.data.addr(start) >> 7;
+  for (std::uint64_t line = first_line > 0 ? first_line - 1 : 0;
+       line <= first_line + 2; ++line) {
+    EXPECT_EQ(a.sys.l1[0].contains(line << 7), b.sys.l1[0].contains(line << 7))
+        << label << " L1 line " << line;
+    EXPECT_EQ(a.sys.l2.contains(line << 7), b.sys.l2.contains(line << 7))
+        << label << " L2 line " << line;
+  }
+  WVec<std::int64_t> probe{};
+  for (int l = 0; l < kWarpSize; ++l)
+    probe[static_cast<std::size_t>(l)] = start + 4 * l;
+  (void)wa.load_f32(a.data, probe, kFullMask);
+  (void)wb.load_f32(b.data, probe, kFullMask);
+  expect_same_pricing(a, wa, b, wb, label + " follow-up probe");
+}
+
+WVec<std::int64_t> seq_lanes(std::int64_t start, int n) {
+  WVec<std::int64_t> idx{};
+  for (int l = 0; l < n; ++l) idx[static_cast<std::size_t>(l)] = start + l;
+  return idx;
+}
+
+WVec<float> lane_values() {
+  WVec<float> val{};
+  for (int l = 0; l < kWarpSize; ++l)
+    val[static_cast<std::size_t>(l)] = 0.5f + static_cast<float>(l);
+  return val;
+}
+
+// Starts 0 and 8 lie inside one 128 B line for small n; 8 + 31 and 29 + 5
+// straddle a line boundary.
+TEST(WarpFrontEnds, SequentialMatchesGeneral) {
+  const WVec<float> val = lane_values();
+  for (const std::int64_t start : {0, 8, 29}) {
+    for (const int n : {1, 5, 31, 32}) {
+      const std::string at =
+          " start=" + std::to_string(start) + " n=" + std::to_string(n);
+      const WVec<std::int64_t> idx = seq_lanes(start, n);
+      const Mask m = lanes_below(n);
+      expect_front_matches_general(
+          "load" + at, start,
+          [&](WarpCtx& w, DevPtr<float> d) {
+            const WVec<float> out = w.load_f32_seq(d, start, n);
+            for (int l = 0; l < kWarpSize; ++l)
+              EXPECT_EQ(out[static_cast<std::size_t>(l)],
+                        l < n ? static_cast<float>(start + l) : 0.0f)
+                  << "load" << at << " lane " << l;
+          },
+          [&](WarpCtx& w, DevPtr<float> d) { (void)w.load_f32(d, idx, m); });
+      expect_front_matches_general(
+          "store" + at, start,
+          [&](WarpCtx& w, DevPtr<float> d) {
+            w.store_f32_seq(d, start, val, n);
+          },
+          [&](WarpCtx& w, DevPtr<float> d) { w.store_f32(d, idx, val, m); });
+      expect_front_matches_general(
+          "atomic_add" + at, start,
+          [&](WarpCtx& w, DevPtr<float> d) {
+            w.atomic_add_f32_seq(d, start, val, n);
+          },
+          [&](WarpCtx& w, DevPtr<float> d) {
+            w.atomic_add_f32(d, idx, val, m);
+          });
+    }
+  }
+}
+
+TEST(WarpFrontEnds, ScalarMatchesOneLaneGeneral) {
+  for (const std::int64_t i : {0, 8, 29, 31, 1000}) {
+    const std::string at = " idx=" + std::to_string(i);
+    WVec<std::int64_t> idx{};
+    idx[0] = i;
+    WVec<float> val{};
+    val[0] = 2.5f;
+    expect_front_matches_general(
+        "load_scalar" + at, i,
+        [&](WarpCtx& w, DevPtr<float> d) {
+          EXPECT_EQ(w.load_scalar_f32(d, i), static_cast<float>(i));
+        },
+        [&](WarpCtx& w, DevPtr<float> d) { (void)w.load_f32(d, idx, 0x1u); });
+    expect_front_matches_general(
+        "atomic_add_scalar" + at, i,
+        [&](WarpCtx& w, DevPtr<float> d) {
+          (void)w.atomic_add_scalar_f32(d, i, val[0]);
+        },
+        [&](WarpCtx& w, DevPtr<float> d) {
+          w.atomic_add_f32(d, idx, val, 0x1u);
+        });
+  }
 }
 
 TEST(LaneHelpers, Masks) {

@@ -4,7 +4,6 @@
 //                   [--graph file.el] [--feature 32] [--heads 1]
 //                   [--max-edges N] [--full] [--gpu-scale D] [--seed S]
 //                   [--check] [--repeat R]
-//                   [--timing-tier mech|analytical]
 //                   [--memcheck] [--device-mem-gb G]
 //                   [--oom-at N] [--fail-launch N]
 //                   [--flip-at N] [--flip-bits B] [--flip-alloc I]
@@ -14,7 +13,8 @@
 //
 // `run` executes one graph convolution on any system and prints the
 // Nsight-style profile; `gen` materializes dataset replicas to disk;
-// `info` prints graph statistics.
+// `info` prints graph statistics. A flag the command does not read is an
+// error (exit 2), so a typo cannot silently run with a default.
 //
 // Fault-model flags (see DESIGN.md "Fault model & memory safety"):
 //   --memcheck        run with guarded device memory (redzones, poison,
@@ -25,9 +25,11 @@
 //   --fail-launch N   fail the Nth kernel launch
 //   --flip-at N       flip --flip-bits random bits before the Nth launch,
 //                     in allocation --flip-alloc (0-based; -1 = random)
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "common/cli.hpp"
 #include "common/format.hpp"
@@ -44,6 +46,25 @@
 namespace {
 
 using namespace tlp;
+
+/// The flags each command reads (load_graph's are shared by all three).
+bool known_flag(const std::string& cmd, const std::string& flag) {
+  static const std::vector<std::string> graph_flags{
+      "dataset", "graph", "max-edges", "full", "seed"};
+  static const std::vector<std::string> run_flags{
+      "system", "model", "feature", "heads", "gpu-scale", "check", "repeat",
+      "memcheck", "device-mem-gb", "oom-at", "fail-launch", "flip-at",
+      "flip-bits", "flip-alloc"};
+  static const std::vector<std::string> gen_flags{"out", "vertices", "edges",
+                                                  "alpha", "format"};
+  const auto in = [&](const std::vector<std::string>& set) {
+    return std::find(set.begin(), set.end(), flag) != set.end();
+  };
+  if (in(graph_flags)) return true;
+  if (cmd == "run") return in(run_flags);
+  if (cmd == "gen") return in(gen_flags);
+  return false;
+}
 
 graph::Csr load_graph(const Args& args) {
   const std::string path = args.get("graph", "");
@@ -74,12 +95,6 @@ sim::DeviceOptions device_options(const Args& args) {
   sim::DeviceOptions opts;
   if (args.get_bool("memcheck", false))
     opts.mem_mode = sim::MemoryMode::kGuarded;
-  // --timing-tier {mech,analytical}: mechanistic (default, bit-pinned) or
-  // the closed-form analytical fast tier (DESIGN.md §13). An unknown value
-  // throws UsageError → exit 2.
-  const std::string tier = args.get_choice(
-      "timing-tier", "mech", {"mech", "mechanistic", "analytical"});
-  (void)sim::timing_tier_from_name(tier, opts.timing_tier);
   // Strict parsing: a mistyped fault flag must die with a message naming the
   // flag, not silently inject nothing (or fault allocation #0 forever).
   constexpr std::int64_t kSeqMax = 1'000'000'000'000;
@@ -230,12 +245,20 @@ int main(int argc, char** argv) {
   const tlp::Args args(argc, argv);
   const std::string cmd =
       args.positional().empty() ? "run" : args.positional()[0];
+  if (cmd != "run" && cmd != "gen" && cmd != "info") {
+    std::fprintf(stderr, "unknown command '%s' (run|gen|info)\n", cmd.c_str());
+    return 2;
+  }
+  for (const std::string& key : args.named_keys()) {
+    if (!known_flag(cmd, key)) {
+      std::fprintf(stderr, "error: unknown flag --%s\n", key.c_str());
+      return 2;
+    }
+  }
   try {
     if (cmd == "run") return cmd_run(args);
     if (cmd == "gen") return cmd_gen(args);
-    if (cmd == "info") return cmd_info(args);
-    std::fprintf(stderr, "unknown command '%s' (run|gen|info)\n", cmd.c_str());
-    return 2;
+    return cmd_info(args);
   } catch (const tlp::UsageError& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 2;
