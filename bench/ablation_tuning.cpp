@@ -128,5 +128,3 @@ namespace tlp::bench {
 const BenchDef tuning_bench = {
     "tuning", "design-choice tuning ablations (extension)", &run, ""};
 }  // namespace tlp::bench
-
-TLP_BENCH_MAIN(tlp::bench::tuning_bench)

@@ -1,24 +1,20 @@
-// Shared harness code for the per-table/per-figure benchmark binaries.
+// Shared harness code for the per-table/per-figure benches that the
+// tools/tlpbench suite driver runs in-process (bench/suite.hpp).
 //
-// Every binary runs with no arguments using scaled-down dataset replicas
-// (see DESIGN.md §1) and accepts exactly this uniform flag set (unknown
-// flags are an error, exit code 2):
+// Every flag has a default, so a bench runs with no arguments on
+// scaled-down dataset replicas (see DESIGN.md §1). tlpbench forwards its
+// global overrides to each bench as that bench's Args:
 //   --max-edges N   replica edge cap (default varies per bench)
 //   --full          paper-scale replicas (slow!)
 //   --feature F     feature size override
 //   --seed S        experiment seed
-//   --json PATH     also write the machine-readable tlpbench report
-//   --help          print the flag set and exit
-// plus any bench-specific flags listed in its BenchDef (e.g. fig11's
-// --min-vertices). Each bench's entry point is `int run(const Args&,
-// Reporter&)`, registered via a BenchDef + TLP_BENCH_MAIN so the same code
-// serves both the standalone binary and the in-process `tools/tlpbench`
-// suite driver (bench/suite.hpp).
+// plus any bench-specific flags listed in a BenchDef (e.g. fig11's
+// --min-vertices, serve's --requests). Each bench's entry point is
+// `int run(const Args&, Reporter&)`, registered via a BenchDef.
 #pragma once
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
@@ -114,21 +110,15 @@ inline void print_header(const std::string& title, const std::string& setup) {
   std::printf("\n=== %s ===\n%s\n\n", title.c_str(), setup.c_str());
 }
 
-/// Structured-result sink handed to every bench entry point. When the bench
-/// runs without --json (and outside the suite driver) the reporter is
-/// disabled and all records go to a scratch slot, so benches record
-/// unconditionally.
+/// Structured-result sink handed to every bench entry point: appends the
+/// bench's records to the BenchResult the suite driver merges.
 class Reporter {
  public:
-  Reporter() = default;
-  explicit Reporter(report::BenchResult* out) : out_(out) {}
-
-  [[nodiscard]] bool enabled() const { return out_ != nullptr; }
+  explicit Reporter(report::BenchResult& out) : out_(&out) {}
 
   /// Records the effective bench config (shown in the JSON and the rendered
   /// EXPERIMENTS.md provenance).
   void set_config(const BenchConfig& cfg) {
-    if (out_ == nullptr) return;
     out_->config = report::Json::object();
     out_->config.set("max_edges", cfg.replica.max_edges);
     out_->config.set("full", cfg.replica.full);
@@ -139,11 +129,6 @@ class Reporter {
   /// Starts a record for one measured configuration; chain `.value(...)`.
   report::Record& add(const std::string& section, const std::string& dataset,
                       const std::string& variant) {
-    if (out_ == nullptr) {
-      scratch_ = report::Record{};
-      scratch_.variant = variant;
-      return scratch_;
-    }
     report::Record r;
     r.section = section;
     r.dataset = dataset;
@@ -178,25 +163,17 @@ class Reporter {
   }
 
  private:
-  report::BenchResult* out_ = nullptr;
-  report::Record scratch_;
+  report::BenchResult* out_;
 };
 
-/// One bench binary's registration: shared by its standalone main and the
-/// tools/tlpbench suite driver (bench/suite.cpp holds the full table).
+/// One bench's registration for the tools/tlpbench suite driver
+/// (bench/suite.cpp holds the full table).
 struct BenchDef {
   const char* name;         ///< suite id, e.g. "table1" (`tlpbench --only`)
   const char* title;        ///< one-line description
   int (*fn)(const Args& args, Reporter& rep);
   const char* extra_flags;  ///< comma-separated flags beyond the common set
 };
-
-/// Flags every bench accepts (kept in sync with the header comment above).
-inline const std::vector<std::string>& common_flags() {
-  static const std::vector<std::string> flags{"max-edges", "full", "feature",
-                                              "seed",      "json", "help"};
-  return flags;
-}
 
 inline std::vector<std::string> split_csv(const std::string& csv) {
   std::vector<std::string> out;
@@ -207,79 +184,5 @@ inline std::vector<std::string> split_csv(const std::string& csv) {
   }
   return out;
 }
-
-/// Rejects flags outside the bench's allowed set; returns the offending flag.
-inline std::string first_unknown_flag(const BenchDef& def, const Args& args) {
-  std::vector<std::string> allowed = common_flags();
-  for (const std::string& f : split_csv(def.extra_flags)) allowed.push_back(f);
-  for (const std::string& key : args.named_keys()) {
-    if (std::find(allowed.begin(), allowed.end(), key) == allowed.end())
-      return key;
-  }
-  return "";
-}
-
-inline void print_usage(const BenchDef& def, std::FILE* to) {
-  std::fprintf(to, "%s: %s\n", def.name, def.title);
-  std::fprintf(to,
-               "flags: --max-edges N  --full  --feature F  --seed S  "
-               "--json PATH  --help");
-  for (const std::string& f : split_csv(def.extra_flags))
-    std::fprintf(to, "  --%s", f.c_str());
-  std::fprintf(to, "\n");
-}
-
-/// Shared main() body for the standalone bench binaries: validate flags, run,
-/// and optionally write a one-bench tlpbench JSON document (--json PATH).
-inline int standalone_main(const BenchDef& def, int argc, char** argv) {
-  const Args args(argc, argv);
-  if (args.get_bool("help", false)) {
-    print_usage(def, stdout);
-    return 0;
-  }
-  const std::string unknown = first_unknown_flag(def, args);
-  if (!unknown.empty()) {
-    std::fprintf(stderr, "error: unknown flag --%s\n", unknown.c_str());
-    print_usage(def, stderr);
-    return 2;
-  }
-
-  report::BenchResult result;
-  result.name = def.name;
-  result.title = def.title;
-  Reporter rep(args.has("json") ? &result : nullptr);
-  int rc = 0;
-  try {
-    rc = def.fn(args, rep);
-  } catch (const UsageError& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 2;
-  }
-  if (rc == 0 && args.has("json")) {
-    report::Report doc;
-    doc.seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
-    doc.benches.push_back(std::move(result));
-    const std::string path = args.get("json", "");
-    std::ofstream out(path, std::ios::binary);
-    if (!out) {
-      std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
-      return 1;
-    }
-    out << doc.to_json().dump();
-  }
-  return rc;
-}
-
-// The suite library (tools/tlpbench) compiles every bench .cpp with
-// TLP_BENCH_SUITE_BUILD defined, turning the per-binary main() off; the
-// standalone executables compile the same file without it.
-#ifdef TLP_BENCH_SUITE_BUILD
-#define TLP_BENCH_MAIN(def)
-#else
-#define TLP_BENCH_MAIN(def)                     \
-  int main(int argc, char** argv) {             \
-    return tlp::bench::standalone_main(def, argc, argv); \
-  }
-#endif
 
 }  // namespace tlp::bench

@@ -111,5 +111,3 @@ namespace tlp::bench {
 const BenchDef fig10_bench = {
     "fig10", "technique benefits over the edge-centric baseline", &run, ""};
 }  // namespace tlp::bench
-
-TLP_BENCH_MAIN(tlp::bench::fig10_bench)

@@ -79,5 +79,3 @@ namespace tlp::bench {
 const BenchDef fig11_bench = {"fig11", "scalability vs thread count", &run,
                               "min-vertices"};
 }  // namespace tlp::bench
-
-TLP_BENCH_MAIN(tlp::bench::fig11_bench)

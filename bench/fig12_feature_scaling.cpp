@@ -66,5 +66,3 @@ namespace tlp::bench {
 const BenchDef fig12_bench = {"fig12", "scalability vs feature size", &run,
                               ""};
 }  // namespace tlp::bench
-
-TLP_BENCH_MAIN(tlp::bench::fig12_bench)

@@ -59,5 +59,3 @@ namespace tlp::bench {
 const BenchDef fig8_bench = {
     "fig8", "GNNAdvisor atomic-write traffic vs TLPGNN", &run, ""};
 }  // namespace tlp::bench
-
-TLP_BENCH_MAIN(tlp::bench::fig8_bench)

@@ -57,5 +57,3 @@ namespace tlp::bench {
 const BenchDef fig9_bench = {
     "fig9", "achieved occupancy, FeatGraph vs TLPGNN", &run, ""};
 }  // namespace tlp::bench
-
-TLP_BENCH_MAIN(tlp::bench::fig9_bench)

@@ -95,5 +95,3 @@ const BenchDef table3_bench = {
     "table3", "kernel launches for GAT convolution (reddit replica)", &run,
     ""};
 }  // namespace tlp::bench
-
-TLP_BENCH_MAIN(tlp::bench::table3_bench)

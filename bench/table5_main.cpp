@@ -102,5 +102,3 @@ const BenchDef table5_bench = {
     "table5", "execution times across systems, models and datasets", &run,
     ""};
 }  // namespace tlp::bench
-
-TLP_BENCH_MAIN(tlp::bench::table5_bench)

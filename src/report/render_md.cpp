@@ -76,9 +76,8 @@ std::string config_line(const BenchResult& b) {
 /// missing from the report (section is skipped with a note).
 const BenchResult* begin_section(std::string& md, const Report& rep,
                                  const std::string& bench,
-                                 const std::string& heading,
-                                 const std::string& binary) {
-  md += "## " + heading + " (`bench/" + binary + "`)\n\n";
+                                 const std::string& heading) {
+  md += "## " + heading + " (`tlpbench --only " + bench + "`)\n\n";
   const BenchResult* b = rep.find_bench(bench);
   if (b == nullptr) {
     md += "*Not present in this report (run `tools/tlpbench` without "
@@ -93,8 +92,7 @@ const BenchResult* begin_section(std::string& md, const Report& rep,
 
 void render_table1(std::string& md, const Report& rep) {
   const BenchResult* b =
-      begin_section(md, rep, "table1", "Table 1 — atomic operations",
-                    "table1_atomics");
+      begin_section(md, rep, "table1", "Table 1 — atomic operations");
   if (b == nullptr) return;
   const std::string ds = datasets_of(*b, "").empty()
                              ? std::string("OH")
@@ -143,7 +141,7 @@ void render_table1(std::string& md, const Report& rep) {
 
 void render_table2(std::string& md, const Report& rep) {
   const BenchResult* b = begin_section(
-      md, rep, "table2", "Table 2 — coalesced access", "table2_coalescing");
+      md, rep, "table2", "Table 2 — coalesced access");
   if (b == nullptr) return;
   const std::string ds = "PD";
 
@@ -192,8 +190,7 @@ void render_table2(std::string& md, const Report& rep) {
 
 void render_table3(std::string& md, const Report& rep) {
   const BenchResult* b = begin_section(md, rep, "table3",
-                                       "Table 3 — kernel launches",
-                                       "table3_fusion");
+                                       "Table 3 — kernel launches");
   if (b == nullptr) return;
   const std::string ds = "RD";
   const std::vector<std::pair<std::string, std::string>> systems{
@@ -264,8 +261,7 @@ void render_table3(std::string& md, const Report& rep) {
 
 void render_table5(std::string& md, const Report& rep) {
   const BenchResult* b = begin_section(md, rep, "table5",
-                                       "Table 5 — main comparison",
-                                       "table5_main");
+                                       "Table 5 — main comparison");
   if (b == nullptr) return;
   md += "'-' mirrors the paper's support matrix (GNNAdvisor: GCN/GIN only, "
         "crashes on the four largest graphs).\n\n";
@@ -320,8 +316,7 @@ void render_table5(std::string& md, const Report& rep) {
 
 void render_fig8(std::string& md, const Report& rep) {
   const BenchResult* b = begin_section(
-      md, rep, "fig8", "Figure 8 — GNNAdvisor atomic writes",
-      "fig8_atomic_traffic");
+      md, rep, "fig8", "Figure 8 — GNNAdvisor atomic writes");
   if (b == nullptr) return;
   std::vector<std::vector<std::string>> rows;
   for (const std::string& ds : datasets_of(*b, "")) {
@@ -340,8 +335,7 @@ void render_fig8(std::string& md, const Report& rep) {
 
 void render_fig9(std::string& md, const Report& rep) {
   const BenchResult* b = begin_section(md, rep, "fig9",
-                                       "Figure 9 — achieved occupancy",
-                                       "fig9_occupancy");
+                                       "Figure 9 — achieved occupancy");
   if (b == nullptr) return;
   std::vector<std::vector<std::string>> rows;
   for (const std::string& ds : datasets_of(*b, "")) {
@@ -370,8 +364,7 @@ void render_fig9(std::string& md, const Report& rep) {
 
 void render_fig10(std::string& md, const Report& rep) {
   const BenchResult* b = begin_section(md, rep, "fig10",
-                                       "Figure 10 — technique ablation",
-                                       "fig10_ablation");
+                                       "Figure 10 — technique ablation");
   if (b == nullptr) return;
   md += "Speedup over the edge-centric baseline; each column adds one "
         "technique.\n\n";
@@ -415,8 +408,7 @@ void render_fig10(std::string& md, const Report& rep) {
 
 void render_fig11(std::string& md, const Report& rep) {
   const BenchResult* b = begin_section(md, rep, "fig11",
-                                       "Figure 11 — thread-count scaling",
-                                       "fig11_thread_scaling");
+                                       "Figure 11 — thread-count scaling");
   if (b == nullptr) return;
   md += "Speedup over a single block (512 threads/block), four largest "
         "replicas (strong-scaling replicas keep a 50K-vertex population; "
@@ -451,8 +443,7 @@ void render_fig11(std::string& md, const Report& rep) {
 
 void render_fig12(std::string& md, const Report& rep) {
   const BenchResult* b = begin_section(md, rep, "fig12",
-                                       "Figure 12 — feature-size scaling",
-                                       "fig12_feature_scaling");
+                                       "Figure 12 — feature-size scaling");
   if (b == nullptr) return;
   md += "Runtime normalized to feature size 16, four largest replicas.\n\n";
   const std::vector<int> sizes{16, 32, 64, 128, 256, 512};
@@ -486,8 +477,7 @@ void render_fig12(std::string& md, const Report& rep) {
 
 void render_tuning(std::string& md, const Report& rep) {
   const BenchResult* b = begin_section(md, rep, "tuning",
-                                       "Extension — tuning ablations",
-                                       "ablation_tuning");
+                                       "Extension — tuning ablations");
   if (b == nullptr) return;
   md += "Design-choice sweeps beyond the paper's figures (times in ms).\n\n";
 
@@ -562,8 +552,8 @@ std::string render_experiments_md(const Report& rep,
         "calibrated simulator, not the authors' V100; see DESIGN.md §1/§4). "
         "Default runs use scaled-down dataset replicas on a proportionally "
         "scaled-down GPU; every number below regenerates with "
-        "`tools/tlpbench` or the named binary (`--full` switches to "
-        "paper-scale replicas).\n\n";
+        "`tools/tlpbench` or the section's `tlpbench --only` command "
+        "(`--full` switches to paper-scale replicas).\n\n";
 
   // --- shape-assertion summary ----------------------------------------------
   md += "## Shape summary\n\n";

@@ -4,7 +4,7 @@
 //
 // Robustness: the device enforces the GpuSpec memory capacity (alloc beyond
 // it throws tlp::OutOfMemory), can run its arena in guarded mode (redzones,
-// use-after-free and write-race detection — see device_memory.hpp), and
+// out-of-bounds and use-after-free detection — see device_memory.hpp), and
 // executes a deterministic FaultPlan: forced allocation failures, injected
 // bit flips before a chosen launch (ECC-style corruption), and forced
 // kernel-launch failures (tlp::LaunchFailure).

@@ -1,11 +1,11 @@
 // Structured error taxonomy for the simulated device layer.
 //
 // Every failure the device can report — allocation beyond capacity, an
-// out-of-bounds or use-after-free access caught by guarded memory, a write
-// race between warps, or an (injected) kernel-launch failure — is a distinct
-// exception type, so callers can implement per-failure policies: the engine
-// retries OutOfMemory with a partitioned fallback, while InvalidAccess and
-// WriteRace are programming errors that must surface loudly.
+// out-of-bounds or use-after-free access caught by guarded memory, or an
+// (injected) kernel-launch failure — is a distinct exception type, so callers
+// can implement per-failure policies: the engine retries OutOfMemory with a
+// partitioned fallback, while InvalidAccess is a programming error that must
+// surface loudly.
 //
 // DeviceError derives from tlp::CheckError so existing catch sites that
 // treat CheckError as "library error" keep working unchanged.
@@ -99,19 +99,6 @@ class InvalidAccess : public DeviceError {
 
   std::uint64_t byte_addr = 0;
   std::string kernel;  ///< empty when no kernel was running
-};
-
-/// Two warps stored non-atomically to the same address within one kernel.
-class WriteRace : public InvalidAccess {
- public:
-  WriteRace(const std::string& what, std::uint64_t addr,
-            std::string kernel_name, std::int64_t wa, std::int64_t wb)
-      : InvalidAccess(what, addr, std::move(kernel_name)),
-        warp_a(wa),
-        warp_b(wb) {}
-
-  std::int64_t warp_a = -1;
-  std::int64_t warp_b = -1;
 };
 
 /// A kernel launch failed (fault injection; mirrors cudaLaunchKernel errors).

@@ -173,32 +173,6 @@ void DeviceMemory::fail_access(std::uint64_t byte_addr, std::size_t bytes,
   throw InvalidAccess(os.str(), byte_addr, kernel_name_);
 }
 
-void DeviceMemory::begin_kernel(const std::string& name) {
-  kernel_name_ = name;
-  if (mode_ == MemoryMode::kGuarded) write_shadow_.clear();
-}
-
-void DeviceMemory::end_kernel() { kernel_name_.clear(); }
-
-void DeviceMemory::note_store(std::uint64_t byte_addr, int bytes,
-                              std::int64_t warp, bool atomic) {
-  if (mode_ != MemoryMode::kGuarded) return;
-  auto [it, inserted] = write_shadow_.try_emplace(
-      byte_addr, ShadowWrite{warp, atomic});
-  if (!inserted) {
-    const ShadowWrite prev = it->second;
-    if (prev.warp != warp && (!prev.atomic || !atomic)) {
-      std::ostringstream os;
-      os << "write race: warps " << prev.warp << " and " << warp
-         << " both stored to byte address " << byte_addr << " (" << bytes
-         << " B) within kernel '" << kernel_name_
-         << "' and at least one store was non-atomic";
-      throw WriteRace(os.str(), byte_addr, kernel_name_, prev.warp, warp);
-    }
-    it->second = ShadowWrite{warp, atomic};
-  }
-}
-
 void DeviceMemory::flip_bit(std::uint64_t byte_addr, int bit) {
   TLP_CHECK_LT(byte_addr, arena_.size());
   TLP_CHECK_GE(bit, 0);
@@ -215,7 +189,6 @@ void DeviceMemory::reset() {
   arena_.shrink_to_fit();
   ++generation_;
   allocs_.clear();
-  write_shadow_.clear();
   kernel_name_.clear();
   // alloc_seq_ and oom_fault_fired_ survive on purpose: a one-shot injected
   // fault must stay consumed across the degradation retry's reset.

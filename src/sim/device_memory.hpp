@@ -11,9 +11,9 @@
 //    tlp::OutOfMemory instead of growing unboundedly; the limit models a
 //    recycling allocator, so it is checked against *live* bytes.
 //  - MemoryMode::kGuarded adds redzones between allocations, poison fill on
-//    alloc/free, out-of-bounds and use-after-free detection on every kernel
-//    load/store/atomic, and a shadow-memory write-race detector that flags
-//    two warps storing non-atomically to the same address within a kernel.
+//    alloc/free, and out-of-bounds and use-after-free detection on every
+//    kernel load/store/atomic. Races are not checked here: the tlpsan
+//    TLP-RACE-001 pass finds them in a recorded access trace.
 //  - A FaultPlan can force the Nth allocation to fail with OutOfMemory so
 //    degradation paths are testable without huge workloads.
 //
@@ -30,7 +30,6 @@
 #include <cstring>
 #include <string>
 #include <type_traits>
-#include <unordered_map>
 #include <vector>
 
 #include "common/check.hpp"
@@ -58,7 +57,7 @@ struct DevPtr {
 
 enum class MemoryMode {
   kFast,     ///< no per-access validation beyond the arena bound
-  kGuarded,  ///< redzones, poison fill, OOB/UAF checks, write-race detection
+  kGuarded,  ///< redzones, poison fill, OOB/UAF checks
 };
 
 /// Host view of an allocation. The pointer is re-derived from the arena on
@@ -234,17 +233,11 @@ class DeviceMemory {
     for (; p < end; p += 64) __builtin_prefetch(p, 0, 1);
   }
 
-  // --- guarded-mode kernel context ----------------------------------------
-  /// Called by the scheduler around each kernel: names the kernel for error
-  /// messages and clears the per-kernel write-race shadow map.
-  void begin_kernel(const std::string& name);
-  void end_kernel();
-
-  /// Guarded-mode hook called by WarpCtx for every store/atomic lane: feeds
-  /// the write-race shadow map. `warp` identifies the storing warp; stores
-  /// from different warps to one address are a race unless both are atomic.
-  void note_store(std::uint64_t byte_addr, int bytes, std::int64_t warp,
-                  bool atomic);
+  // --- kernel context -------------------------------------------------------
+  /// Called by the scheduler around each kernel: names the kernel in
+  /// InvalidAccess messages.
+  void begin_kernel(const std::string& name) { kernel_name_ = name; }
+  void end_kernel() { kernel_name_.clear(); }
 
   // --- fault-injection support ---------------------------------------------
   struct AllocationRecord {
@@ -321,14 +314,8 @@ class DeviceMemory {
   bool oom_fault_fired_ = false;
   std::string fault_context_;
 
-  // Guarded-mode kernel context: current kernel name plus the write shadow
-  // map (address -> last non-host writer) cleared per kernel.
+  /// Kernel in flight, named by InvalidAccess messages.
   std::string kernel_name_;
-  struct ShadowWrite {
-    std::int64_t warp = -1;
-    bool atomic = false;
-  };
-  std::unordered_map<std::uint64_t, ShadowWrite> write_shadow_;
 };
 
 template <class T>

@@ -91,56 +91,17 @@ void finalize_timing(const GpuSpec& spec, KernelRecord& rec, double makespan,
   rec.launch_overhead_us += spec.kernel_launch_us;
 }
 
-void run_hardware_dynamic(MemorySystem& sys, WarpKernel& kernel,
-                          const LaunchConfig& cfg, KernelRecord& rec) {
+/// Hardware block scheduling: `total_warps` warps in blocks of
+/// `cfg.warps_per_block`, block b on SM b % num_sms, warp w owning the
+/// contiguous item chunk [w·chunk, (w+1)·chunk). Hardware-dynamic launches
+/// one warp per item (total_warps = n, chunk = 1); static-chunk caps the
+/// grid and gives each warp ⌈n / total_warps⌉ items.
+void run_block_grid(MemorySystem& sys, WarpKernel& kernel,
+                    const LaunchConfig& cfg, std::int64_t total_warps,
+                    KernelRecord& rec) {
   const GpuSpec& spec = sys.spec;
   const std::int64_t n = kernel.num_items();
   const int wpb = std::max(1, cfg.warps_per_block);
-  const std::int64_t blocks = (n + wpb - 1) / wpb;
-  rec.blocks = blocks;
-  rec.warps_per_block = wpb;
-
-  std::vector<double>& durations = scratch().durations;
-  durations.clear();
-  durations.reserve(static_cast<std::size_t>(blocks));
-  double resident_integral = 0.0;
-  WarpCtx warp(sys, 0);
-  for (std::int64_t b = 0; b < blocks; ++b) {
-    const int sm = static_cast<int>(b % spec.num_sms);
-    double block_serial = 0.0;
-    int block_warps = 0;
-    const std::int64_t lo = b * wpb;
-    const std::int64_t hi = std::min<std::int64_t>(n, lo + wpb);
-    for (std::int64_t item = lo; item < hi; ++item) {
-      warp.reassign(sm, /*warp_id=*/item);
-      warp.begin_item(item);
-      kernel.run_item(warp, item);
-      rec.issue_cycles += warp.issue_cycles();
-      rec.mem_stall_cycles += warp.mem_cycles();
-      rec.warps++;
-      ++block_warps;
-      block_serial = std::max(block_serial, warp.total_cycles());
-    }
-    durations.push_back(block_serial);
-    resident_integral += block_serial * block_warps;
-  }
-
-  const int slots =
-      spec.num_sms * resident_blocks_per_sm(spec, wpb);
-  const double makespan = slot_makespan(durations, slots,
-                                        spec.block_dispatch_cycles, nullptr);
-  finalize_timing(sys.spec, rec, makespan, resident_integral);
-}
-
-void run_static_chunk(MemorySystem& sys, WarpKernel& kernel,
-                      const LaunchConfig& cfg, KernelRecord& rec) {
-  const GpuSpec& spec = sys.spec;
-  const std::int64_t n = kernel.num_items();
-  const int wpb = std::max(1, cfg.warps_per_block);
-  std::int64_t total_warps =
-      cfg.grid_blocks > 0
-          ? static_cast<std::int64_t>(cfg.grid_blocks) * wpb
-          : static_cast<std::int64_t>(spec.num_sms) * spec.warps_per_sm;
   total_warps = std::max<std::int64_t>(1, std::min(total_warps, n));
   const std::int64_t chunk = (n + total_warps - 1) / total_warps;
   const std::int64_t blocks = (total_warps + wpb - 1) / wpb;
@@ -181,16 +142,22 @@ void run_static_chunk(MemorySystem& sys, WarpKernel& kernel,
   finalize_timing(sys.spec, rec, makespan, resident_integral);
 }
 
+/// Grid size of a static-chunk or software-pool launch: the requested grid,
+/// or one full wave of resident warps.
+std::int64_t grid_warps(const GpuSpec& spec, const LaunchConfig& cfg) {
+  const int wpb = std::max(1, cfg.warps_per_block);
+  return cfg.grid_blocks > 0
+             ? static_cast<std::int64_t>(cfg.grid_blocks) * wpb
+             : static_cast<std::int64_t>(spec.num_sms) * spec.warps_per_sm;
+}
+
 void run_software_pool(MemorySystem& sys, WarpKernel& kernel,
                        const LaunchConfig& cfg, KernelRecord& rec) {
   const GpuSpec& spec = sys.spec;
   const std::int64_t n = kernel.num_items();
   const int wpb = std::max(1, cfg.warps_per_block);
-  std::int64_t total_warps =
-      cfg.grid_blocks > 0
-          ? static_cast<std::int64_t>(cfg.grid_blocks) * wpb
-          : static_cast<std::int64_t>(spec.num_sms) * spec.warps_per_sm;
-  total_warps = std::max<std::int64_t>(1, total_warps);
+  const std::int64_t total_warps =
+      std::max<std::int64_t>(1, grid_warps(spec, cfg));
   rec.blocks = (total_warps + wpb - 1) / wpb;
   rec.warps_per_block = wpb;
   rec.warps = total_warps;
@@ -274,8 +241,8 @@ void run_software_pool(MemorySystem& sys, WarpKernel& kernel,
 namespace {
 
 /// Restores the current-kernel pointers even when a kernel throws (guarded
-/// memory raises InvalidAccess/WriteRace mid-execution; the device must stay
-/// usable for the caller's error handling).
+/// memory raises InvalidAccess mid-execution; the device must stay usable
+/// for the caller's error handling).
 struct KernelScope {
   KernelScope(MemorySystem& mem_sys, KernelRecord& rec)
       : sys(mem_sys), prev(mem_sys.rec) {
@@ -305,10 +272,11 @@ void run_kernel(MemorySystem& sys, WarpKernel& kernel, const LaunchConfig& cfg,
   } else {
     switch (cfg.assignment) {
       case Assignment::kHardwareDynamic:
-        run_hardware_dynamic(sys, kernel, cfg, rec);
+        run_block_grid(sys, kernel, cfg, kernel.num_items(), rec);
         break;
       case Assignment::kStaticChunk:
-        run_static_chunk(sys, kernel, cfg, rec);
+        run_block_grid(sys, kernel, cfg, grid_warps(sys.spec, cfg),
+                       rec);
         break;
       case Assignment::kSoftwarePool:
         run_software_pool(sys, kernel, cfg, rec);

@@ -313,7 +313,6 @@ void WarpCtx::store_vec(DevPtr<T> base, const WVec<std::int64_t>& idx,
       const std::uint64_t a = base.addr(idx[l]);
       addr[l] = a;
       sys_->mem.write<T>(a, val[l]);
-      note_store(a, static_cast<int>(sizeof(T)), /*atomic=*/false);
       off_line |= (a >> 7) ^ line0;
       smask |= 1u << ((a >> 5) & 3u);
     }
@@ -325,7 +324,6 @@ void WarpCtx::store_vec(DevPtr<T> base, const WVec<std::int64_t>& idx,
       const std::uint64_t a = base.addr(idx[l]);
       addr[l] = a;
       sys_->mem.write<T>(a, val[l]);
-      note_store(a, static_cast<int>(sizeof(T)), /*atomic=*/false);
       off_line |= (a >> 7) ^ line0;
       smask |= 1u << ((a >> 5) & 3u);
     }
@@ -384,10 +382,11 @@ inline std::array<std::uint64_t, kWarpSize> seq_addrs(std::uint64_t a0,
 // start+l" shape directly: one range bounds check and one block copy
 // replace the 32-iteration per-lane loop, and the line/sector accounting is
 // closed-form (request_span). Guarded memory mode falls back to the general
-// gather/scatter so redzone/use-after-free/write-race checking still sees
-// every lane; with a trace attached the per-lane address array is built on
-// demand. All observable effects (data, counters, cache state, costs,
-// trace) are identical to the general path with idx[l] = start+l.
+// gather/scatter so redzone/use-after-free checking still sees every lane
+// and names the offending lane's address; with a trace attached the
+// per-lane address array is built on demand. All observable effects (data,
+// counters, cache state, costs, trace) are identical to the general path
+// with idx[l] = start+l.
 
 template <class T>
 WVec<T> WarpCtx::load_seq_vec(DevPtr<T> base, std::int64_t start, int n) {
@@ -512,7 +511,6 @@ void WarpCtx::atomic_add_f32(DevPtr<float> base, const WVec<std::int64_t>& idx,
     addr[l] = a;
     const float old = sys_->mem.read<float>(a);
     sys_->mem.write<float>(a, old + val[l]);
-    note_store(a, 4, /*atomic=*/true);
   }
   const int worst_conflict = worst_atomic_conflict(addr, m);
   request(addr, m, 4, Op::kAtomic);
@@ -532,7 +530,6 @@ void WarpCtx::atomic_max_f32(DevPtr<float> base, const WVec<std::int64_t>& idx,
     addr[l] = a;
     const float old = sys_->mem.read<float>(a);
     sys_->mem.write<float>(a, std::max(old, val[l]));
-    note_store(a, 4, /*atomic=*/true);
   }
   const int worst_conflict = worst_atomic_conflict(addr, m);
   request(addr, m, 4, Op::kAtomic);
@@ -569,7 +566,6 @@ std::int64_t WarpCtx::load_scalar_i64(DevPtr<std::int64_t> base,
 void WarpCtx::store_scalar_f32(DevPtr<float> base, std::int64_t idx, float v) {
   const std::uint64_t a = base.addr(idx);
   sys_->mem.write<float>(a, v);
-  note_store(a, 4, /*atomic=*/false);
   request_scalar(a, 4, Op::kStore);
 }
 
@@ -578,7 +574,6 @@ std::uint32_t WarpCtx::atomic_add_u32(DevPtr<std::uint32_t> base,
   const std::uint64_t a = base.addr(idx);
   const auto old = sys_->mem.read<std::uint32_t>(a);
   sys_->mem.write<std::uint32_t>(a, old + add);
-  note_store(a, 4, /*atomic=*/true);
   request_scalar(a, 4, Op::kAtomic);
   sys_->rec->atomic_ops += 1;
   return old;
@@ -589,7 +584,6 @@ float WarpCtx::atomic_add_scalar_f32(DevPtr<float> base, std::int64_t idx,
   const std::uint64_t a = base.addr(idx);
   const float old = sys_->mem.read<float>(a);
   sys_->mem.write<float>(a, old + v);
-  note_store(a, 4, /*atomic=*/true);
   request_scalar(a, 4, Op::kAtomic);
   sys_->rec->atomic_ops += 1;
   return old;

@@ -54,9 +54,8 @@ struct MemorySystem {
 
 class WarpCtx {
  public:
-  /// `warp_id` is a launch-unique id used by the guarded-memory write-race
-  /// detector to distinguish stores from different warps; -1 (host / test
-  /// contexts) still participates in race tracking as its own writer.
+  /// `warp_id` is a launch-unique id stamped on every traced access, so the
+  /// tlpsan race pass can tell warps apart; -1 marks host / test contexts.
   WarpCtx(MemorySystem& sys, int sm_id, std::int64_t warp_id = -1)
       : sys_(&sys), sm_(sm_id), warp_id_(warp_id) {}
 
@@ -243,12 +242,6 @@ class WarpCtx {
   [[gnu::noinline]] void record_trace(
       const std::array<std::uint64_t, kWarpSize>& addr, Mask m,
       int bytes_per_lane, Op op, bool scalar);
-
-  /// Guarded-memory hook: reports one store lane to the write-race detector.
-  void note_store(std::uint64_t addr, int bytes, bool atomic) {
-    if (sys_->mem.mode() == MemoryMode::kGuarded)
-      sys_->mem.note_store(addr, bytes, warp_id_, atomic);
-  }
 
   MemorySystem* sys_;
   int sm_;

@@ -1,6 +1,8 @@
-# CLI regression check: a --only selection that matches nothing must fail
-# with exit code 2 and a loud diagnostic, never write an empty report that
-# would vacuously pass every shape assertion. Invoked by ctest as
+# CLI regression checks for tlpbench's --only front end. A --only selection
+# that matches nothing must fail with exit code 2 and a loud diagnostic,
+# never write an empty report that would vacuously pass every shape
+# assertion; and a bench-specific flag (serve's --requests) must reach the
+# selected bench. Invoked by ctest as
 #   cmake -DTLPBENCH=... -DBASELINE=... -P check_only_no_match.cmake
 
 # Case 1: a name that is not a bench.
@@ -37,3 +39,19 @@ endif()
 if(EXISTS "${CMAKE_CURRENT_BINARY_DIR}/only_no_match.json")
   message(FATAL_ERROR "zero-match run wrote a report file; it must not")
 endif()
+
+# Case 3: bench-specific flags are forwarded to the selected bench.
+execute_process(
+  COMMAND "${TLPBENCH}" --only serve --requests 7 --max-edges 20000
+          --no-assert --out "${CMAKE_CURRENT_BINARY_DIR}/only_forward.json"
+  RESULT_VARIABLE rc3
+  OUTPUT_VARIABLE out3
+  ERROR_VARIABLE err3)
+if(NOT rc3 EQUAL 0)
+  message(FATAL_ERROR "--only serve --requests 7: expected exit 0, got ${rc3}: ${err3}")
+endif()
+if(NOT out3 MATCHES "\\| 7 requests\n")
+  message(FATAL_ERROR "--only serve --requests 7: the bench did not run 7 "
+                      "requests (flag not forwarded), got: ${out3}")
+endif()
+file(REMOVE "${CMAKE_CURRENT_BINARY_DIR}/only_forward.json")

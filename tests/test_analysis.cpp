@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -69,6 +70,29 @@ class PlainStoreRaceKernel final : public WarpKernel {
   DevPtr<float> buf_;
 };
 
+/// Items in [first_storer, items) plain-store `stores` times each to word 0;
+/// the other items touch nothing. Each item runs on its own warp (hardware
+/// assignment), so the warps that store are exactly the storing items.
+class WordZeroStoreKernel final : public WarpKernel {
+ public:
+  WordZeroStoreKernel(DevPtr<float> buf, std::int64_t items,
+                      std::int64_t first_storer, int stores)
+      : buf_(buf), items_(items), first_(first_storer), stores_(stores) {}
+  [[nodiscard]] std::int64_t num_items() const override { return items_; }
+  [[nodiscard]] std::string name() const override { return "word0_store"; }
+  void run_item(WarpCtx& warp, std::int64_t item) override {
+    if (item < first_) return;
+    warp.site(TLP_SITE("word0_store"));
+    for (int s = 0; s < stores_; ++s)
+      warp.store_scalar_f32(buf_, 0, static_cast<float>(s));
+  }
+
+ private:
+  DevPtr<float> buf_;
+  std::int64_t items_, first_;
+  int stores_;
+};
+
 TEST(RacePass, DetectsCrossWarpPlainStoreRace) {
   Device dev;
   PlainStoreRaceKernel k(dev);
@@ -88,6 +112,97 @@ TEST(RacePass, DetectsCrossWarpPlainStoreRace) {
                 (d.site == "race_store_odd" && d.site2 == "race_store_even"));
       });
   EXPECT_TRUE(both_sites_named);
+
+  const DevPtr<float> buf = dev.alloc_zeroed<float>(4);
+  // Control for the two inputs below: warps 0 and 1 store word 0 in one
+  // launch.
+  WordZeroStoreKernel two_warps(buf, 2, 0, 1);
+  EXPECT_TRUE(has_rule(launch_and_analyze(dev, two_warps), kRuleRace));
+
+  // The same warp storing twice is program order, not a race.
+  WordZeroStoreKernel same_warp(buf, 1, 0, 2);
+  EXPECT_FALSE(has_rule(launch_and_analyze(dev, same_warp), kRuleRace));
+
+  // Warp 0 and warp 1 store word 0 in two separate launches: the launch
+  // boundary orders them.
+  WordZeroStoreKernel first(buf, 1, 0, 1);
+  WordZeroStoreKernel second(buf, 2, 1, 1);
+  sim::AccessTrace trace;
+  dev.attach_trace(&trace);
+  dev.launch(first);
+  dev.launch(second);
+  dev.attach_trace(nullptr);
+  EXPECT_FALSE(has_rule(analyze_trace(trace), kRuleRace));
+}
+
+sim::Device guarded_device() {
+  sim::DeviceOptions opts;
+  opts.mem_mode = sim::MemoryMode::kGuarded;
+  return Device(sim::GpuSpec::v100(), opts);
+}
+
+/// All warps store non-atomically to element 0 — a write race.
+class RacyPushKernel final : public WarpKernel {
+ public:
+  explicit RacyPushKernel(DevPtr<float> buf) : buf_(buf) {}
+  [[nodiscard]] std::int64_t num_items() const override { return 8; }
+  [[nodiscard]] std::string name() const override { return "racy_push"; }
+  void run_item(WarpCtx& warp, std::int64_t item) override {
+    warp.store_scalar_f32(buf_, 0, static_cast<float>(item));
+  }
+
+ private:
+  DevPtr<float> buf_;
+};
+
+/// Same access pattern, but atomic — the legal way to combine across warps.
+class AtomicPushKernel final : public WarpKernel {
+ public:
+  explicit AtomicPushKernel(DevPtr<float> buf) : buf_(buf) {}
+  [[nodiscard]] std::int64_t num_items() const override { return 8; }
+  [[nodiscard]] std::string name() const override { return "atomic_push"; }
+  void run_item(WarpCtx& warp, std::int64_t item) override {
+    (void)warp.atomic_add_scalar_f32(buf_, 0, static_cast<float>(item));
+  }
+
+ private:
+  DevPtr<float> buf_;
+};
+
+TEST(RacePass, RacyPushUnderGuardedMemoryNamesKernelWarpsAndAddress) {
+  // Guarded memory checks bounds and lifetimes only; the race surfaces in
+  // the trace.
+  Device dev = guarded_device();
+  const DevPtr<float> buf = dev.alloc_zeroed<float>(4);
+  RacyPushKernel k(buf);
+  const auto diags = launch_and_analyze(dev, k);
+  const Diagnostic* race = find_rule(diags, kRuleRace);
+  ASSERT_NE(race, nullptr);
+  EXPECT_EQ(race->severity, Severity::kError);
+  EXPECT_EQ(race->kernel, "racy_push");
+
+  const std::size_t at = race->message.find("warps ");
+  ASSERT_NE(at, std::string::npos) << race->message;
+  long long warp_a = -1, warp_b = -1;
+  unsigned long long addr = 0;
+  ASSERT_EQ(std::sscanf(race->message.c_str() + at,
+                        "warps %lld and %lld touch byte address %llu",
+                        &warp_a, &warp_b, &addr),
+            3)
+      << race->message;
+  EXPECT_NE(warp_a, warp_b);
+  EXPECT_GE(warp_a, 0);
+  EXPECT_GE(warp_b, 0);
+  EXPECT_EQ(addr, buf.addr(0));
+}
+
+TEST(RacePass, AtomicPushUnderGuardedMemoryIsNotARace) {
+  Device dev = guarded_device();
+  const DevPtr<float> buf = dev.alloc_zeroed<float>(4);
+  AtomicPushKernel k(buf);
+  EXPECT_FALSE(has_rule(launch_and_analyze(dev, k), kRuleRace));
+  const std::vector<float> out = dev.download(buf);
+  EXPECT_FLOAT_EQ(out[0], 0 + 1 + 2 + 3 + 4 + 5 + 6 + 7);
 }
 
 /// Every item atomically accumulates into the same word: heavy contention but

@@ -159,49 +159,6 @@ TEST(DeviceMemory, StaleViewDetectedAfterArenaGrowth) {
   EXPECT_EQ(fresh[0], 7);
 }
 
-TEST(DeviceMemory, WriteRaceDetectedAtSharedAddress) {
-  DeviceMemory mem(MemoryMode::kGuarded);
-  const auto p = mem.alloc<float>(4);
-  mem.begin_kernel("push");
-  mem.note_store(p.addr(0), 4, /*warp=*/0, /*atomic=*/false);
-  // Same warp again: not a race.
-  EXPECT_NO_THROW(mem.note_store(p.addr(0), 4, 0, false));
-  try {
-    mem.note_store(p.addr(0), 4, /*warp=*/1, /*atomic=*/false);
-    FAIL() << "expected WriteRace";
-  } catch (const tlp::WriteRace& e) {
-    EXPECT_EQ(e.kernel, "push");
-    EXPECT_EQ(e.byte_addr, p.addr(0));
-    EXPECT_EQ(e.warp_a, 0);
-    EXPECT_EQ(e.warp_b, 1);
-  }
-  mem.end_kernel();
-}
-
-TEST(DeviceMemory, AtomicStoresFromDifferentWarpsAreNotARace) {
-  DeviceMemory mem(MemoryMode::kGuarded);
-  const auto p = mem.alloc<float>(4);
-  mem.begin_kernel("reduce");
-  EXPECT_NO_THROW(mem.note_store(p.addr(0), 4, 0, /*atomic=*/true));
-  EXPECT_NO_THROW(mem.note_store(p.addr(0), 4, 1, /*atomic=*/true));
-  // Atomic then plain from another warp is still a race.
-  EXPECT_THROW(mem.note_store(p.addr(0), 4, 2, /*atomic=*/false),
-               tlp::WriteRace);
-  mem.end_kernel();
-}
-
-TEST(DeviceMemory, ShadowMapClearsBetweenKernels) {
-  DeviceMemory mem(MemoryMode::kGuarded);
-  const auto p = mem.alloc<float>(4);
-  mem.begin_kernel("a");
-  mem.note_store(p.addr(0), 4, 0, false);
-  mem.end_kernel();
-  mem.begin_kernel("b");
-  // A different warp storing in a *different kernel* is fine.
-  EXPECT_NO_THROW(mem.note_store(p.addr(0), 4, 1, false));
-  mem.end_kernel();
-}
-
 TEST(DeviceMemory, FlipBitCorruptsStoredValue) {
   DeviceMemory mem;
   const auto p = mem.alloc<std::uint32_t>(1);

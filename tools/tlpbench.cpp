@@ -17,6 +17,7 @@
 //                                         # committed file is byte-identical
 //
 // Exit codes: 0 ok, 1 shape-assertion failure / drift / IO error, 2 usage.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <ctime>
@@ -49,6 +50,17 @@ void usage(std::FILE* to) {
       "render mode:   tlpbench --render-md [PATH] [--from REPORT.json]\n"
       "doc gate:      tlpbench --check-md EXPERIMENTS.md\n"
       "introspection: tlpbench --list\n");
+}
+
+/// Every registered bench's extra flags, deduplicated, in registry order.
+std::vector<std::string> bench_extra_flags() {
+  std::vector<std::string> out;
+  for (const bench::BenchDef* def : bench::all_benches()) {
+    for (const std::string& f : bench::split_csv(def->extra_flags)) {
+      if (std::find(out.begin(), out.end(), f) == out.end()) out.push_back(f);
+    }
+  }
+  return out;
 }
 
 std::string read_file(const std::string& path) {
@@ -156,11 +168,14 @@ int run_mode(const Args& args) {
     return 2;
   }
 
-  // Forward the global overrides to every bench as its own argv.
+  // Forward the global overrides and the bench-specific flags (serve's
+  // --requests, fig11's --min-vertices, ...) to every bench as its own
+  // argv; a bench ignores the flags it does not read.
+  std::vector<std::string> valued{"seed", "max-edges", "feature"};
+  for (const std::string& f : bench_extra_flags()) valued.push_back(f);
   std::vector<std::string> fwd{"bench"};
-  for (const char* flag : {"seed", "max-edges", "feature"}) {
-    if (args.has(flag))
-      fwd.push_back("--" + std::string(flag) + "=" + args.get(flag, ""));
+  for (const std::string& flag : valued) {
+    if (args.has(flag)) fwd.push_back("--" + flag + "=" + args.get(flag, ""));
   }
   if (args.get_bool("full", false)) fwd.emplace_back("--full");
   std::vector<const char*> argv;
@@ -186,7 +201,7 @@ int run_mode(const Args& args) {
     report::BenchResult result;
     result.name = def->name;
     result.title = def->title;
-    bench::Reporter rep(&result);
+    bench::Reporter rep(result);
     const auto bench_start = std::chrono::steady_clock::now();
     const int rc = def->fn(bench_args, rep);
     wall_ms.emplace_back(
@@ -295,14 +310,10 @@ int main(int argc, char** argv) {
     usage(stdout);
     return 0;
   }
-  // The common flags plus every registered bench's extra flags (they pass
-  // through Args to the bench's run(), e.g. serve's --requests).
+  // The common flags plus every registered bench's extra flags (run_mode
+  // forwards them to the bench's run(), e.g. serve's --requests).
   std::vector<std::string> known = kFlags;
-  for (const bench::BenchDef* def : bench::all_benches()) {
-    for (const std::string& f : bench::split_csv(def->extra_flags)) {
-      known.push_back(f);
-    }
-  }
+  for (const std::string& f : bench_extra_flags()) known.push_back(f);
   for (const std::string& key : args.named_keys()) {
     if (std::find(known.begin(), known.end(), key) == known.end()) {
       std::fprintf(stderr, "error: unknown flag --%s\n", key.c_str());

@@ -18,7 +18,7 @@
 //
 // Fault-model flags (see DESIGN.md "Fault model & memory safety"):
 //   --memcheck        run with guarded device memory (redzones, poison,
-//                     use-after-free and write-race detection)
+//                     out-of-bounds and use-after-free detection)
 //   --device-mem-gb G cap simulated device memory at G GiB; OutOfMemory
 //                     degrades the tlpgnn system to partitioned execution
 //   --oom-at N        inject an allocation failure at the Nth device alloc
