@@ -53,6 +53,7 @@ class LiveSet {
   void free(const sim::MemEvent& ev) {
     auto it = live_.find(ev.offset);
     if (it == live_.end()) return;  // allocated before the trace attached
+    hit_ = nullptr;
     retired.push_back(std::move(it->second));
     live_.erase(it);
   }
@@ -60,17 +61,25 @@ class LiveSet {
   void reset() {
     for (auto& [off, b] : live_) retired.push_back(std::move(b));
     live_.clear();
+    hit_ = nullptr;
   }
 
   void finish() { reset(); }
 
-  /// Buffer containing `addr`, or nullptr.
+  /// Buffer containing `addr`, or nullptr. Consecutive lanes mostly hit
+  /// the buffer found last; live payloads never overlap, so a hit on it is
+  /// the answer the interval lookup would give.
   Buffer* find(std::uint64_t addr) {
+    if (hit_ != nullptr && addr >= hit_->offset &&
+        addr < hit_->offset + hit_->bytes)
+      return hit_;
     auto it = live_.upper_bound(addr);
     if (it == live_.begin()) return nullptr;
     --it;
     Buffer& b = it->second;
-    return addr < b.offset + b.bytes ? &b : nullptr;
+    if (addr >= b.offset + b.bytes) return nullptr;
+    hit_ = &b;
+    return hit_;
   }
 
   /// Applies `fn(Buffer&, first_byte, last_byte)` to every live buffer
@@ -93,6 +102,8 @@ class LiveSet {
 
  private:
   std::map<std::uint64_t, Buffer> live_;
+  Buffer* hit_ = nullptr;  ///< last buffer find() returned; cleared when
+                           ///< buffers leave live_
 };
 
 }  // namespace

@@ -2,9 +2,9 @@
 #include <cstdint>
 #include <map>
 #include <sstream>
-#include <unordered_map>
 
 #include "analysis/passes.hpp"
+#include "analysis/shadow.hpp"
 
 namespace tlp::analysis {
 
@@ -50,7 +50,7 @@ struct RaceAgg {
 };
 
 struct RaceState {
-  std::unordered_map<std::uint64_t, WordShadow> shadow;
+  PagedShadow<WordShadow> shadow;
   // Ordered map keeps diagnostic order deterministic.
   std::map<std::tuple<std::uint32_t, std::uint32_t, RaceCat>, RaceAgg> found;
 
@@ -66,7 +66,7 @@ struct RaceState {
   }
 
   void on_read(std::uint64_t word, std::int64_t warp, std::uint32_t site) {
-    WordShadow& ws = shadow[word];
+    WordShadow& ws = shadow.at(word);
     if (ws.w_warp != -1 && ws.w_warp != warp) {
       report(ws.w_atomic ? RaceCat::kAtomicRead : RaceCat::kWriteRead,
              ws.w_site, ws.w_warp, site, warp, word);
@@ -83,7 +83,7 @@ struct RaceState {
 
   void on_write(std::uint64_t word, std::int64_t warp, std::uint32_t site,
                 bool atomic) {
-    WordShadow& ws = shadow[word];
+    WordShadow& ws = shadow.at(word);
     if (ws.w_warp != -1 && ws.w_warp != warp && !(ws.w_atomic && atomic)) {
       report(ws.w_atomic || atomic ? RaceCat::kAtomicPlain
                                    : RaceCat::kPlainPlain,
@@ -110,25 +110,19 @@ void RacePass::run(const sim::KernelTrace& kt, const PassOptions& /*opt*/,
                    std::vector<Diagnostic>& out) const {
   RaceState state;
   for (const sim::TraceAccess& a : kt.accesses) {
-    const int words = a.bytes >= 4 ? a.bytes / 4 : 1;
-    for (int l = 0; l < sim::kTraceWarpSize; ++l) {
-      if (((a.mask >> l) & 1u) == 0) continue;
-      const std::uint64_t word0 = a.addr[static_cast<std::size_t>(l)] >> 2;
-      for (int wd = 0; wd < words; ++wd) {
-        const std::uint64_t word = word0 + static_cast<std::uint64_t>(wd);
-        switch (a.kind) {
-          case sim::AccessKind::kLoad:
-            state.on_read(word, a.warp, a.site);
-            break;
-          case sim::AccessKind::kStore:
-            state.on_write(word, a.warp, a.site, /*atomic=*/false);
-            break;
-          case sim::AccessKind::kAtomic:
-            state.on_write(word, a.warp, a.site, /*atomic=*/true);
-            break;
-        }
+    for_each_word(a, [&](std::uint64_t word) {
+      switch (a.kind) {
+        case sim::AccessKind::kLoad:
+          state.on_read(word, a.warp, a.site);
+          break;
+        case sim::AccessKind::kStore:
+          state.on_write(word, a.warp, a.site, /*atomic=*/false);
+          break;
+        case sim::AccessKind::kAtomic:
+          state.on_write(word, a.warp, a.site, /*atomic=*/true);
+          break;
       }
-    }
+    });
   }
 
   for (const auto& [key, agg] : state.found) {

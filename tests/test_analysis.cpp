@@ -7,13 +7,21 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
+#include <functional>
+#include <map>
+#include <sstream>
 #include <string>
+#include <tuple>
+#include <unordered_map>
 #include <vector>
 
 #include "analysis/analyzer.hpp"
 #include "analysis/diagnostics.hpp"
 #include "analysis/pass.hpp"
+#include "analysis/passes.hpp"
+#include "analysis/shadow.hpp"
 #include "graph/generators.hpp"
 #include "sim/device.hpp"
 
@@ -795,6 +803,406 @@ TEST(Analyzer, EdgeBaselineUncoalescedIsSuppressedNotDropped) {
                d.suppressed;
       });
   EXPECT_TRUE(found);
+}
+
+// ---------------------------------------------------------------------------
+// Exactness of the paged-shadow RACE-001 / RED-005 passes on hand-built
+// traces, including interleavings and addresses the scheduler never emits.
+
+sim::TraceAccess make_access(std::int64_t warp, std::int64_t item,
+                             sim::AccessKind kind, std::uint32_t site,
+                             std::uint8_t bytes,
+                             const std::vector<std::uint64_t>& lane_addrs) {
+  sim::TraceAccess a;
+  a.warp = warp;
+  a.item = item;
+  a.kind = kind;
+  a.site = site;
+  a.bytes = bytes;
+  for (std::size_t l = 0; l < lane_addrs.size(); ++l) {
+    a.addr[l] = lane_addrs[l];
+    a.mask |= 1u << l;
+  }
+  return a;
+}
+
+sim::TraceAccess load(std::int64_t warp, std::int64_t item,
+                      std::uint32_t site, std::uint64_t addr,
+                      std::uint8_t bytes = 4) {
+  return make_access(warp, item, sim::AccessKind::kLoad, site, bytes, {addr});
+}
+
+sim::TraceAccess store(std::int64_t warp, std::int64_t item,
+                       std::uint32_t site, std::uint64_t addr,
+                       std::uint8_t bytes = 4) {
+  return make_access(warp, item, sim::AccessKind::kStore, site, bytes, {addr});
+}
+
+std::vector<Diagnostic> run_pass(const Pass& pass, const sim::KernelTrace& kt,
+                                 const PassOptions& opt = {}) {
+  std::vector<Diagnostic> out;
+  pass.run(kt, opt, out);
+  return out;
+}
+
+PassOptions every_redundant_load() {
+  PassOptions opt;
+  opt.redundant_loads = 1;
+  return opt;
+}
+
+// Reference oracle: the node-per-word map-based RACE-001 and RED-005
+// algorithms the paged shadow replaced, kept verbatim in behaviour.
+namespace oracle {
+
+enum class RaceCat : std::uint8_t {
+  kPlainPlain,
+  kAtomicPlain,
+  kWriteRead,
+  kAtomicRead
+};
+
+const char* cat_name(RaceCat c) {
+  switch (c) {
+    case RaceCat::kPlainPlain:
+      return "plain write / plain write";
+    case RaceCat::kAtomicPlain:
+      return "atomic / plain write mix";
+    case RaceCat::kWriteRead:
+      return "plain write / read";
+    case RaceCat::kAtomicRead:
+      return "atomic write / plain read";
+  }
+  return "?";
+}
+
+struct WordShadow {
+  std::int64_t w_warp = -1;
+  std::uint32_t w_site = 0;
+  bool w_atomic = false;
+  std::array<std::int64_t, 2> r_warp{-1, -1};
+  std::array<std::uint32_t, 2> r_site{0, 0};
+};
+
+struct RaceAgg {
+  std::int64_t count = 0;
+  std::uint64_t example_addr = 0;
+  std::int64_t warp_a = -1, warp_b = -1;
+};
+
+std::vector<Diagnostic> race(const sim::KernelTrace& kt) {
+  std::unordered_map<std::uint64_t, WordShadow> shadow;
+  std::map<std::tuple<std::uint32_t, std::uint32_t, RaceCat>, RaceAgg> found;
+  auto report = [&](RaceCat cat, std::uint32_t prev_site,
+                    std::int64_t prev_warp, std::uint32_t cur_site,
+                    std::int64_t cur_warp, std::uint64_t word) {
+    RaceAgg& agg = found[{cur_site, prev_site, cat}];
+    if (agg.count++ == 0) {
+      agg.example_addr = word << 2;
+      agg.warp_a = prev_warp;
+      agg.warp_b = cur_warp;
+    }
+  };
+  for (const sim::TraceAccess& a : kt.accesses) {
+    const int words = a.bytes >= 4 ? a.bytes / 4 : 1;
+    for (int l = 0; l < sim::kTraceWarpSize; ++l) {
+      if (((a.mask >> l) & 1u) == 0) continue;
+      const std::uint64_t word0 = a.addr[static_cast<std::size_t>(l)] >> 2;
+      for (int wd = 0; wd < words; ++wd) {
+        const std::uint64_t word = word0 + static_cast<std::uint64_t>(wd);
+        WordShadow& ws = shadow[word];
+        if (a.kind == sim::AccessKind::kLoad) {
+          if (ws.w_warp != -1 && ws.w_warp != a.warp) {
+            report(ws.w_atomic ? RaceCat::kAtomicRead : RaceCat::kWriteRead,
+                   ws.w_site, ws.w_warp, a.site, a.warp, word);
+          }
+          if (ws.r_warp[0] == a.warp || ws.r_warp[1] == a.warp) continue;
+          if (ws.r_warp[0] == -1) {
+            ws.r_warp[0] = a.warp;
+            ws.r_site[0] = a.site;
+          } else if (ws.r_warp[1] == -1) {
+            ws.r_warp[1] = a.warp;
+            ws.r_site[1] = a.site;
+          }
+          continue;
+        }
+        const bool atomic = a.kind == sim::AccessKind::kAtomic;
+        if (ws.w_warp != -1 && ws.w_warp != a.warp &&
+            !(ws.w_atomic && atomic)) {
+          report(ws.w_atomic || atomic ? RaceCat::kAtomicPlain
+                                       : RaceCat::kPlainPlain,
+                 ws.w_site, ws.w_warp, a.site, a.warp, word);
+        }
+        for (std::size_t i = 0; i < 2; ++i) {
+          if (ws.r_warp[i] != -1 && ws.r_warp[i] != a.warp) {
+            report(atomic ? RaceCat::kAtomicRead : RaceCat::kWriteRead,
+                   ws.r_site[i], ws.r_warp[i], a.site, a.warp, word);
+          }
+        }
+        ws.w_warp = a.warp;
+        ws.w_site = a.site;
+        ws.w_atomic = atomic;
+        ws.r_warp = {-1, -1};
+        ws.r_site = {0, 0};
+      }
+    }
+  }
+  std::vector<Diagnostic> out;
+  for (const auto& [key, agg] : found) {
+    const auto [cur_site, prev_site, cat] = key;
+    Diagnostic d;
+    d.rule = kRuleRace;
+    d.severity =
+        cat == RaceCat::kAtomicRead ? Severity::kWarning : Severity::kError;
+    d.kernel = kt.kernel;
+    d.site_id = cur_site;
+    d.site2_id = prev_site;
+    d.metric = static_cast<double>(agg.count);
+    d.count = agg.count;
+    std::ostringstream os;
+    os << "cross-warp race (" << cat_name(cat) << "): warps " << agg.warp_a
+       << " and " << agg.warp_b << " touch byte address " << agg.example_addr
+       << " concurrently (same launch, no ordering); " << agg.count
+       << " conflicting word(s)";
+    d.message = os.str();
+    out.push_back(std::move(d));
+  }
+  return out;
+}
+
+struct PairHash {
+  std::size_t operator()(const std::pair<std::uint64_t, std::uint64_t>& p)
+      const {
+    return std::hash<std::uint64_t>()(p.first * 0x9e3779b97f4a7c15ull ^
+                                      p.second);
+  }
+};
+
+struct LastLoad {
+  std::int64_t seq = -1;
+  std::uint32_t site = 0;
+};
+
+std::vector<Diagnostic> redundant(const sim::KernelTrace& kt,
+                                  const PassOptions& opt) {
+  std::unordered_map<std::uint64_t, std::int64_t> store_seq;
+  std::unordered_map<std::pair<std::uint64_t, std::uint64_t>, LastLoad,
+                     PairHash>
+      last_load;
+  std::map<std::pair<std::uint32_t, std::uint32_t>, std::int64_t> found;
+  std::int64_t seq = 0;
+  for (const sim::TraceAccess& a : kt.accesses) {
+    const std::uint64_t scope = (static_cast<std::uint64_t>(a.warp) << 32) ^
+                                static_cast<std::uint64_t>(a.item + 1);
+    const int words = a.bytes >= 4 ? a.bytes / 4 : 1;
+    for (int l = 0; l < sim::kTraceWarpSize; ++l) {
+      if (((a.mask >> l) & 1u) == 0) continue;
+      const std::uint64_t word0 = a.addr[static_cast<std::size_t>(l)] >> 2;
+      for (int wd = 0; wd < words; ++wd) {
+        const std::uint64_t word = word0 + static_cast<std::uint64_t>(wd);
+        ++seq;
+        if (a.kind != sim::AccessKind::kLoad) {
+          store_seq[word] = seq;
+          continue;
+        }
+        LastLoad& ll = last_load[{scope, word}];
+        if (ll.seq >= 0) {
+          const auto it = store_seq.find(word);
+          if (it == store_seq.end() || it->second < ll.seq)
+            found[{a.site, ll.site}] += 1;
+        }
+        ll.seq = seq;
+        ll.site = a.site;
+      }
+    }
+  }
+  std::vector<Diagnostic> out;
+  for (const auto& [sites, count] : found) {
+    if (count < opt.redundant_loads) continue;
+    Diagnostic d;
+    d.rule = kRuleRedundantLoad;
+    d.severity = Severity::kWarning;
+    d.kernel = kt.kernel;
+    d.site_id = sites.first;
+    d.site2_id = sites.second;
+    d.metric = static_cast<double>(count);
+    d.count = count;
+    std::ostringstream os;
+    os << "redundant load: " << count << " fetches of words the same warp "
+       << "already loaded in the same work item with no intervening store — "
+       << "candidates for register caching (§6, Figure 7a)";
+    d.message = os.str();
+    out.push_back(std::move(d));
+  }
+  return out;
+}
+
+}  // namespace oracle
+
+void expect_same_diagnostics(const std::vector<Diagnostic>& got,
+                             const std::vector<Diagnostic>& want,
+                             const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    SCOPED_TRACE(what + ", diagnostic " + std::to_string(i));
+    EXPECT_EQ(got[i].rule, want[i].rule);
+    EXPECT_EQ(got[i].severity, want[i].severity);
+    EXPECT_EQ(got[i].kernel, want[i].kernel);
+    EXPECT_EQ(got[i].site_id, want[i].site_id);
+    EXPECT_EQ(got[i].site2_id, want[i].site2_id);
+    EXPECT_EQ(got[i].metric, want[i].metric);
+    EXPECT_EQ(got[i].count, want[i].count);
+    EXPECT_EQ(got[i].message, want[i].message);
+  }
+}
+
+TEST(RedundantLoadPass, InterleavedScopesKeepTheirLastLoad) {
+  // Warp 1 item 9 takes over W's shadow cell between warp 0 item 5's two
+  // loads of it; the second load is still a refetch of a value warp 0 item 5
+  // holds.
+  constexpr std::uint64_t kW = 4096;
+  sim::KernelTrace kt;
+  kt.kernel = "interleaved";
+  kt.accesses = {load(0, 5, 1, kW), load(1, 9, 2, kW), load(0, 5, 3, kW)};
+  const auto diags = run_pass(RedundantLoadPass(), kt, every_redundant_load());
+  ASSERT_EQ(diags.size(), 1u);
+  EXPECT_EQ(diags[0].count, 1);
+  EXPECT_EQ(diags[0].site_id, 3u);
+  EXPECT_EQ(diags[0].site2_id, 1u);
+
+  // A store by anyone in between makes the refetch necessary.
+  kt.accesses.insert(kt.accesses.begin() + 2, store(2, 0, 4, kW));
+  EXPECT_TRUE(run_pass(RedundantLoadPass(), kt, every_redundant_load())
+                  .empty());
+}
+
+TEST(PagedShadow, AllocatesOnlyTouchedPages) {
+  PagedShadow<int> shadow;
+  shadow.at(0) = 1;
+  shadow.at(std::uint64_t{1} << 38) = 2;  // byte address 2^40
+  shadow.at(PagedShadow<int>::kPageWords - 1) = 3;
+  EXPECT_EQ(shadow.pages(), 2u);
+  EXPECT_EQ(shadow.at(0), 1);
+  EXPECT_EQ(shadow.at(std::uint64_t{1} << 38), 2);
+  EXPECT_EQ(shadow.at(PagedShadow<int>::kPageWords - 1), 3);
+  EXPECT_EQ(shadow.at(PagedShadow<int>::kPageWords), 0);
+  EXPECT_EQ(shadow.pages(), 3u);
+}
+
+TEST(RacePass, FarApartAddressesInOneLaunch) {
+  constexpr std::uint64_t kFar = std::uint64_t{1} << 40;
+  sim::KernelTrace kt;
+  kt.kernel = "far";
+  kt.accesses = {store(0, 0, 1, 0), store(0, 0, 2, kFar), load(1, 1, 3, 0),
+                 store(1, 1, 4, kFar)};
+  const auto diags = run_pass(RacePass(), kt);
+  expect_same_diagnostics(diags, oracle::race(kt), "far race");
+  ASSERT_EQ(diags.size(), 2u);
+  EXPECT_EQ(diags[0].site_id, 3u);  // write/read at byte 0
+  EXPECT_NE(diags[0].message.find("byte address 0 "), std::string::npos);
+  EXPECT_EQ(diags[1].site_id, 4u);  // write/write at byte 2^40
+  EXPECT_NE(diags[1].message.find("byte address 1099511627776 "),
+            std::string::npos);
+}
+
+TEST(RedundantLoadPass, FarApartAddressesInOneLaunch) {
+  constexpr std::uint64_t kFar = std::uint64_t{1} << 40;
+  sim::KernelTrace kt;
+  kt.kernel = "far";
+  kt.accesses = {load(0, 0, 1, 0), load(0, 0, 1, kFar), load(0, 0, 1, 0),
+                 load(0, 0, 1, kFar)};
+  const auto diags = run_pass(RedundantLoadPass(), kt, every_redundant_load());
+  ASSERT_EQ(diags.size(), 1u);
+  EXPECT_EQ(diags[0].count, 2);
+}
+
+TEST(RacePass, WideLanesCoverEveryWord) {
+  // A 16-byte store covers words 0..3; an 8-byte load at byte 8 reads words
+  // 2 and 3 from another warp.
+  sim::KernelTrace kt;
+  kt.kernel = "wide";
+  kt.accesses = {store(0, 0, 1, 0, 16), load(1, 1, 2, 8, 8)};
+  const auto diags = run_pass(RacePass(), kt);
+  expect_same_diagnostics(diags, oracle::race(kt), "wide race");
+  ASSERT_EQ(diags.size(), 1u);
+  EXPECT_EQ(diags[0].count, 2);
+  EXPECT_NE(diags[0].message.find("byte address 8 "), std::string::npos);
+}
+
+TEST(RedundantLoadPass, WideLanesCoverEveryWord) {
+  // 16 bytes at 0 loads words 0..3; 8 bytes at 8 refetches words 2 and 3.
+  // After another warp stores word 3, only word 2 is refetched redundantly.
+  sim::KernelTrace kt;
+  kt.kernel = "wide";
+  kt.accesses = {load(0, 0, 1, 0, 16), load(0, 0, 2, 8, 8),
+                 store(1, 1, 3, 12), load(0, 0, 2, 8, 8)};
+  const auto diags = run_pass(RedundantLoadPass(), kt, every_redundant_load());
+  expect_same_diagnostics(diags, oracle::redundant(kt, every_redundant_load()),
+                          "wide redundant");
+  ASSERT_EQ(diags.size(), 2u);
+  EXPECT_EQ(diags[0].site2_id, 1u);  // (2, 1): words 2, 3 of the first load
+  EXPECT_EQ(diags[0].count, 2);
+  EXPECT_EQ(diags[1].site2_id, 2u);  // (2, 2): word 2 only
+  EXPECT_EQ(diags[1].count, 1);
+}
+
+/// A random launch: few warps and items so scopes interleave and collide on
+/// words, all access kinds and widths, and addresses from a small pool that
+/// straddles page boundaries and sits near 2^40.
+sim::KernelTrace random_trace(Rng& rng) {
+  static constexpr std::array<std::uint8_t, 5> kWidths{1, 2, 4, 8, 16};
+  std::vector<std::uint64_t> pool;
+  const int pool_size = static_cast<int>(rng.next_range(1, 24));
+  for (int i = 0; i < pool_size; ++i) {
+    const std::uint64_t base =
+        rng.next_bool(0.2) ? (std::uint64_t{1} << 40) : 0;
+    const std::uint64_t page_edge = PagedShadow<int>::kPageWords * 4 *
+                                    rng.next_below(3);
+    pool.push_back(base + page_edge + 4 * rng.next_below(8) -
+                   (page_edge > 0 ? 16 : 0));
+  }
+  sim::KernelTrace kt;
+  kt.kernel = "random";
+  const int n = static_cast<int>(rng.next_range(1, 80));
+  const int warps = static_cast<int>(rng.next_range(1, 5));
+  std::int64_t warp = 0, item = 0;
+  for (int i = 0; i < n; ++i) {
+    if (i == 0 || rng.next_bool(0.5)) {
+      warp = rng.next_range(0, warps);
+      item = rng.next_range(-1, 3);
+    }
+    sim::TraceAccess a;
+    a.warp = warp;
+    a.item = item;
+    const double k = rng.next_double();
+    a.kind = k < 0.6 ? sim::AccessKind::kLoad
+             : k < 0.85 ? sim::AccessKind::kStore
+                        : sim::AccessKind::kAtomic;
+    a.site = static_cast<std::uint32_t>(rng.next_range(1, 4));
+    a.bytes = kWidths[rng.next_below(kWidths.size())];
+    const int lanes = static_cast<int>(rng.next_range(1, 5));
+    for (int l = 0; l < lanes; ++l) {
+      const std::size_t lane = rng.next_below(sim::kTraceWarpSize);
+      a.mask |= 1u << lane;
+      a.addr[lane] = pool[rng.next_below(pool.size())] + rng.next_below(4);
+    }
+    kt.accesses.push_back(a);
+  }
+  return kt;
+}
+
+TEST(PagedShadowPasses, MatchMapBasedReferenceOnRandomTraces) {
+  Rng rng(2022);
+  const PassOptions opt = every_redundant_load();
+  for (int t = 0; t < 300; ++t) {
+    const sim::KernelTrace kt = random_trace(rng);
+    const std::string what = "trace " + std::to_string(t);
+    expect_same_diagnostics(run_pass(RacePass(), kt), oracle::race(kt),
+                            what + " race");
+    expect_same_diagnostics(run_pass(RedundantLoadPass(), kt, opt),
+                            oracle::redundant(kt, opt), what + " redundant");
+    if (HasFatalFailure() || HasNonfatalFailure()) break;
+  }
 }
 
 }  // namespace

@@ -23,7 +23,11 @@
 // only *new* findings gate, so known paper-documented pathologies stay
 // visible without breaking CI. --strict makes a truncated trace (TLP-META-000
 // — incomplete coverage) failing in either mode. See README.md ("Linting the
-// kernels") for the workflow.
+// kernels") for the workflow. Exit codes: 0 clean, 1 gating findings or a
+// runtime failure (tlp::CheckError), 2 a usage error (unknown flag, unknown
+// --systems name, bad --fail-on value, unreadable --baseline file).
+#include <algorithm>
+#include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -32,6 +36,7 @@
 
 #include "analysis/analyzer.hpp"
 #include "analysis/diagnostics.hpp"
+#include "common/check.hpp"
 #include "common/cli.hpp"
 #include "common/table.hpp"
 
@@ -70,13 +75,40 @@ void write_file(const std::string& path, const std::string& content) {
   out << content;
 }
 
-Severity parse_fail_on(const std::string& s) {
+const std::vector<std::string>& known_flags() {
+  static const std::vector<std::string> kFlags{
+      "systems", "serve",        "json",     "sarif",           "fail-on",
+      "strict",  "max-trace-mb", "baseline", "update-baseline", "help"};
+  return kFlags;
+}
+
+/// --systems as a list of lint system names; every name must be one
+/// lint_system_names() knows, else tlp::UsageError naming the valid set.
+std::vector<std::string> parse_systems(const tlp::Args& args) {
+  const std::vector<std::string> valid = tlp::analysis::lint_system_names();
+  if (!args.has("systems")) return valid;
+  const std::string value = args.get("systems", "");
+  std::string valid_list;
+  for (const std::string& v : valid)
+    valid_list += (valid_list.empty() ? "" : ", ") + v;
+  const std::vector<std::string> systems = split_csv(value);
+  if (systems.empty())
+    throw tlp::UsageError("flag --systems: no system named in \"" + value +
+                          "\" (valid: " + valid_list + ")");
+  for (const std::string& name : systems) {
+    if (std::find(valid.begin(), valid.end(), name) == valid.end())
+      throw tlp::UsageError("flag --systems: unknown system \"" + name +
+                            "\" (valid: " + valid_list + ")");
+  }
+  return systems;
+}
+
+Severity parse_fail_on(const tlp::Args& args) {
+  const std::string s =
+      args.get_choice("fail-on", "error", {"note", "warning", "error"});
   if (s == "note") return Severity::kNote;
   if (s == "warning") return Severity::kWarning;
-  if (s == "error") return Severity::kError;
-  std::cerr << "tlplint: --fail-on must be note, warning, or error (got '"
-            << s << "')\n";
-  std::exit(2);
+  return Severity::kError;
 }
 
 void print_report(const std::vector<Diagnostic>& diags) {
@@ -102,10 +134,7 @@ void print_report(const std::vector<Diagnostic>& diags) {
   }
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  tlp::Args args(argc, argv);
+int run(const tlp::Args& args) {
   if (args.has("help")) {
     std::cout
         << "usage: tlplint [--systems=a,b,..] [--serve] [--json PATH]\n"
@@ -121,9 +150,7 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  std::vector<std::string> systems =
-      tlp::analysis::lint_system_names();
-  if (args.has("systems")) systems = split_csv(args.get("systems", ""));
+  const std::vector<std::string> systems = parse_systems(args);
 
   const std::vector<tlp::analysis::LintDataset> datasets =
       tlp::analysis::default_lint_datasets();
@@ -134,7 +161,7 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(
           args.get_int_checked("max-trace-mb", 1024, 1, 1 << 20))
       << 20;
-  const Severity fail_on = parse_fail_on(args.get("fail-on", "error"));
+  const Severity fail_on = parse_fail_on(args);
   const bool strict = args.get_bool("strict", false);
 
   std::cerr << "tlplint: analyzing " << systems.size() << " systems x "
@@ -221,4 +248,26 @@ int main(int argc, char** argv) {
     return 1;
   }
   return strict_rc;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  const tlp::Args args(argc, argv);
+  for (const std::string& key : args.named_keys()) {
+    if (std::find(known_flags().begin(), known_flags().end(), key) ==
+        known_flags().end()) {
+      std::fprintf(stderr, "error: unknown flag --%s\n", key.c_str());
+      return 2;
+    }
+  }
+  try {
+    return run(args);
+  } catch (const tlp::UsageError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  } catch (const tlp::CheckError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
 }
