@@ -59,6 +59,37 @@ void BM_ScatteredLoad(benchmark::State& state) {
 }
 BENCHMARK(BM_ScatteredLoad);
 
+// The sequential-range front end: one block copy and closed-form line math.
+void BM_SequentialLoad(benchmark::State& state) {
+  WarpBench b;
+  sim::WarpCtx warp(b.sys, 0);
+  std::int64_t base = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(warp.load_f32_seq(b.data, base, sim::kWarpSize));
+    base = (base + sim::kWarpSize) & ((1 << 22) - 1);
+  }
+  state.counters["sectors/req"] =
+      static_cast<double>(b.rec.sectors) / static_cast<double>(b.rec.requests);
+}
+BENCHMARK(BM_SequentialLoad);
+
+// Half the warp active: the per-lane loop walks the mask instead of counting.
+void BM_PartialMaskLoad(benchmark::State& state) {
+  WarpBench b;
+  sim::WarpCtx warp(b.sys, 0);
+  sim::WVec<std::int64_t> idx{};
+  std::int64_t base = 0;
+  for (auto _ : state) {
+    for (int l = 0; l < sim::kWarpSize; ++l)
+      idx[static_cast<std::size_t>(l)] = (base + l) & ((1 << 22) - 1);
+    benchmark::DoNotOptimize(warp.load_f32(b.data, idx, 0x0000ffffu));
+    base += sim::kWarpSize;
+  }
+  state.counters["sectors/req"] =
+      static_cast<double>(b.rec.sectors) / static_cast<double>(b.rec.requests);
+}
+BENCHMARK(BM_PartialMaskLoad);
+
 void BM_AtomicAddConflicts(benchmark::State& state) {
   WarpBench b;
   sim::WarpCtx warp(b.sys, 0);

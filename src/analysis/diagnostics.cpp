@@ -1,9 +1,10 @@
 #include "analysis/diagnostics.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <set>
 #include <sstream>
+
+#include "report/json.hpp"
 
 namespace tlp::analysis {
 
@@ -49,40 +50,7 @@ void sort_diagnostics(std::vector<Diagnostic>& diags) {
             });
 }
 
-namespace {
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
+using report::json_escape;
 
 std::string to_json(const std::vector<Diagnostic>& diags, bool truncated) {
   std::ostringstream os;

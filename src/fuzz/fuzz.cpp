@@ -12,10 +12,13 @@
 #include "fuzz/kernel_runners.hpp"
 #include "fuzz/minimize.hpp"
 #include "models/reference.hpp"
+#include "report/json.hpp"
 #include "sim/device.hpp"
 #include "systems/system.hpp"
 
 namespace tlp::fuzz {
+
+using report::json_escape;
 
 namespace {
 
@@ -23,25 +26,6 @@ using Clock = std::chrono::steady_clock;
 
 double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
-}
-
-std::string json_escape(const std::string& s) {
-  std::ostringstream os;
-  for (const char ch : s) {
-    switch (ch) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          os << "\\u00" << std::hex << static_cast<int>(ch) << std::dec;
-        } else {
-          os << ch;
-        }
-    }
-  }
-  return os.str();
 }
 
 /// Runs the oracle battery for one case. The cheap differential oracles run

@@ -127,10 +127,9 @@ std::string json_number(double d) {
   return s;
 }
 
-namespace {
-
-void escape_to(const std::string& s, std::string& out) {
-  out.push_back('"');
+std::string json_escape(const std::string& s) {
+  std::string out;
+  out.reserve(s.size());
   for (const char c : s) {
     switch (c) {
       case '"': out += "\\\""; break;
@@ -148,6 +147,14 @@ void escape_to(const std::string& s, std::string& out) {
         }
     }
   }
+  return out;
+}
+
+namespace {
+
+void escape_to(const std::string& s, std::string& out) {
+  out.push_back('"');
+  out += json_escape(s);
   out.push_back('"');
 }
 
@@ -320,9 +327,11 @@ class Parser {
         case 'f': out.push_back('\f'); break;
         case 'u': {
           if (pos_ + 4 > text_.size()) err("truncated \\u escape");
-          const std::string hex = text_.substr(pos_, 4);
+          unsigned cp = 0;
+          const char* hex = text_.data() + pos_;
+          const auto [end, ec] = std::from_chars(hex, hex + 4, cp, 16);
+          if (ec != std::errc() || end != hex + 4) err("bad \\u escape");
           pos_ += 4;
-          const unsigned long cp = std::strtoul(hex.c_str(), nullptr, 16);
           // ASCII-only escapes are enough for tlpbench documents; encode the
           // rest as UTF-8 without surrogate-pair handling.
           if (cp < 0x80) {

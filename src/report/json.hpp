@@ -101,4 +101,9 @@ class Json {
 /// Shortest round-trip decimal form of `d` ("1.5", "42", "0.1").
 std::string json_number(double d);
 
+/// `s` escaped for use between the quotes of a JSON string: quotes,
+/// backslashes and every control byte (`\n`, `\t`, `\r`, else `\u00XX`),
+/// so Json::parse returns `s` unchanged.
+std::string json_escape(const std::string& s);
+
 }  // namespace tlp::report

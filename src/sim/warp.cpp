@@ -29,6 +29,81 @@ inline std::uint32_t hash64(std::uint64_t key) {
   return static_cast<std::uint32_t>((key * 0x9E3779B97F4A7C15ull) >> 58);
 }
 
+/// Worst per-address lane multiplicity minus one — the replay count the
+/// atomic units serialize on. Equivalent to the old per-lane prior-conflict
+/// scan (the last lane of the most contended address saw count-1 priors),
+/// but O(lanes) via a 64-slot table like request_general's line dedup.
+int worst_atomic_conflict(const std::array<std::uint64_t, kWarpSize>& addr,
+                          Mask m) {
+  std::array<std::uint8_t, 64> slot_of{};
+  std::array<std::uint8_t, kWarpSize> count{};
+  std::array<std::uint64_t, kWarpSize> uniq;
+  std::uint64_t used = 0;
+  int nuniq = 0;
+  int worst = 0;
+  for (Mask rem = m; rem != 0; rem &= rem - 1) {
+    const auto l = static_cast<std::size_t>(std::countr_zero(rem));
+    const std::uint64_t a = addr[l];
+    std::uint32_t h = hash64(a);
+    int found = -1;
+    while ((used >> h) & 1u) {
+      const auto i = slot_of[h];
+      if (uniq[i] == a) {
+        found = i;
+        break;
+      }
+      h = (h + 1) & 63u;
+    }
+    if (found < 0) {
+      used |= std::uint64_t{1} << h;
+      slot_of[h] = static_cast<std::uint8_t>(nuniq);
+      uniq[static_cast<std::size_t>(nuniq)] = a;
+      count[static_cast<std::size_t>(nuniq++)] = 1;
+    } else {
+      const int c = ++count[static_cast<std::size_t>(found)];
+      worst = std::max(worst, c - 1);
+    }
+  }
+  return worst;
+}
+
+/// Lane indices start..start+n-1 — the guarded-memory fallback from a
+/// sequential range to the per-lane loop.
+inline WVec<std::int64_t> seq_idx(std::int64_t start, int n) {
+  WVec<std::int64_t> idx{};
+  for (int l = 0; l < n; ++l) idx[static_cast<std::size_t>(l)] = start + l;
+  return idx;
+}
+
+/// Lane addresses of n consecutive 4-byte elements, for trace recording.
+inline std::array<std::uint64_t, kWarpSize> seq_addrs(std::uint64_t a0,
+                                                      int n) {
+  std::array<std::uint64_t, kWarpSize> addr{};
+  for (int l = 0; l < n; ++l)
+    addr[static_cast<std::size_t>(l)] = a0 + 4u * static_cast<std::uint32_t>(l);
+  return addr;
+}
+
+// Per-lane and block data movement for the front ends below.
+template <class T>
+auto lane_read(const DeviceMemory& mem, WVec<T>& out) {
+  return [&mem, &out](std::size_t l, std::uint64_t a) {
+    out[l] = mem.read<T>(a);
+  };
+}
+template <class T>
+auto block_read(const DeviceMemory& mem, WVec<T>& out) {
+  return [&mem, &out](std::uint64_t a0, std::size_t n) {
+    mem.read_block(a0, out.data(), n);
+  };
+}
+template <class T>
+auto lane_write(DeviceMemory& mem, const WVec<T>& val) {
+  return [&mem, &val](std::size_t l, std::uint64_t a) {
+    mem.write<T>(a, val[l]);
+  };
+}
+
 }  // namespace
 
 void WarpCtx::record_trace(const std::array<std::uint64_t, kWarpSize>& addr,
@@ -46,46 +121,6 @@ void WarpCtx::record_trace(const std::array<std::uint64_t, kWarpSize>& addr,
   ta.mask = m;
   ta.addr = addr;
   sys_->trace->record(ta);
-}
-
-void WarpCtx::request_one_line(std::uint64_t line0, std::uint32_t smask,
-                               Op op) {
-  const SectorLine line{line0, smask};
-  request_lines(&line, 1, op);
-}
-
-void WarpCtx::request(const std::array<std::uint64_t, kWarpSize>& addr, Mask m,
-                      int bytes_per_lane, Op op, bool scalar) {
-  if (m == 0) return;
-  if (sys_->trace != nullptr) [[unlikely]]
-    record_trace(addr, m, bytes_per_lane, op, scalar);
-  ++slot_;
-  (void)bytes_per_lane;
-
-  // Single-line fast path: in the TLPGNN kernels the most common vector
-  // access by far is a warp reading or writing one contiguous 128 B feature
-  // row (unit stride), so every active lane falls in the same line. Detect
-  // that with a branchless full-warp scan (no serial mask walk, no dedup
-  // table) and run the one-line accounting directly; scattered requests fall
-  // through to the general dedup. Inactive `addr` entries are
-  // zero-initialized by the callers, so scanning all 32 lanes is safe.
-  // (The load/store entry points fuse this same scan into their lane loops
-  // and skip request() entirely; this path serves the atomics.)
-  const std::uint64_t line0 =
-      addr[static_cast<std::size_t>(std::countr_zero(m))] >> 7;
-  std::uint64_t off_line = 0;  // nonzero if any active lane leaves line0
-  std::uint32_t smask = 0;
-  for (int l = 0; l < kWarpSize; ++l) {
-    const std::uint64_t a = addr[static_cast<std::size_t>(l)];
-    const std::uint64_t act = (m >> l) & 1u;
-    off_line |= ((a >> 7) ^ line0) & (0 - act);
-    smask |= static_cast<std::uint32_t>(act) << ((a >> 5) & 3u);
-  }
-  if (off_line == 0) {
-    request_one_line(line0, smask, op);
-    return;
-  }
-  request_general(addr, m, op);
 }
 
 void WarpCtx::request_general(const std::array<std::uint64_t, kWarpSize>& addr,
@@ -151,14 +186,11 @@ void WarpCtx::request_lines(const SectorLine* lines, int nlines, Op op) {
       const auto& e = lines[static_cast<std::size_t>(i)];
       const int nsec = std::popcount(e.sectors);
       total_sectors += nsec;
-      bool l2_hit = false;
-      if (sys.model_caches) {
-        rec.l2_accesses++;
-        l2_hit = sys.l2.access(e.line << 7);
-        if (l2_hit) rec.l2_hits++;
-      }
-      miss_l1_sectors += nsec;
-      if (!l2_hit) miss_l2_sectors += nsec;
+      rec.l2_accesses++;
+      if (sys.l2.access(e.line << 7))
+        rec.l2_hits++;
+      else
+        miss_l2_sectors += nsec;
     }
     worst_latency = spec.atomic_latency;
   } else {
@@ -167,17 +199,15 @@ void WarpCtx::request_lines(const SectorLine* lines, int nlines, Op op) {
       const auto& e = lines[static_cast<std::size_t>(i)];
       const int nsec = std::popcount(e.sectors);
       total_sectors += nsec;
-      bool l1_hit = false, l2_hit = false;
-      if (sys.model_caches) {
-        rec.l1_accesses++;
-        l1_hit = l1.access(e.line << 7);
-        if (l1_hit) {
-          rec.l1_hits++;
-        } else {
-          rec.l2_accesses++;
-          l2_hit = sys.l2.access(e.line << 7);
-          if (l2_hit) rec.l2_hits++;
-        }
+      rec.l1_accesses++;
+      const bool l1_hit = l1.access(e.line << 7);
+      bool l2_hit = false;
+      if (l1_hit) {
+        rec.l1_hits++;
+      } else {
+        rec.l2_accesses++;
+        l2_hit = sys.l2.access(e.line << 7);
+        if (l2_hit) rec.l2_hits++;
       }
       if (!l1_hit) miss_l1_sectors += nsec;
       if (!l1_hit && !l2_hit) miss_l2_sectors += nsec;
@@ -224,7 +254,8 @@ void WarpCtx::request_span(std::uint64_t first_addr, std::uint64_t last_addr,
   const auto s0 = static_cast<std::uint32_t>((first_addr >> 5) & 3u);
   const auto s1 = static_cast<std::uint32_t>((last_addr >> 5) & 3u);
   if (line0 == line1) {
-    request_one_line(line0, (2u << s1) - (1u << s0), op);
+    const SectorLine line{line0, (2u << s1) - (1u << s0)};
+    request_lines(&line, 1, op);
     return;
   }
   const SectorLine lines[2] = {{line0, 0xFu - ((1u << s0) - 1u)},
@@ -240,304 +271,177 @@ void WarpCtx::request_scalar(std::uint64_t a, int bytes_per_lane, Op op) {
   }
   ++slot_;
   // One active lane: exactly one 128 B line with one 32 B sector.
-  request_one_line(a >> 7, 0x1u, op);
+  const SectorLine line{a >> 7, 0x1u};
+  request_lines(&line, 1, op);
 }
 
-// The vector load/store entry points fuse the single-line scan into the
-// per-lane data-movement loop (line0/off_line/smask stay in registers — no
-// re-read of the 256 B address array) and call the one-line accounting
-// directly when every active lane lands in one line; only genuinely
-// scattered requests build the address array's dedup structures. The L1 tag
-// set for line0 is host-prefetched as soon as the first address is known so
-// the probe's memory access overlaps the rest of the lane loop. Counter and
-// cost effects are byte-identical to routing through request().
-
-template <class T>
-WVec<T> WarpCtx::load_vec(DevPtr<T> base, const WVec<std::int64_t>& idx,
-                          Mask m) {
-  WVec<T> out{};
-  if (m == 0) return out;
+template <WarpCtx::Op op, class T, class Lane>
+void WarpCtx::lanes(DevPtr<T> base, const WVec<std::int64_t>& idx, Mask m,
+                    Lane&& lane) {
+  if (m == 0) return;
+  // The L1 tag set of the first lane's line is host-prefetched up front so
+  // the probe overlaps the lane loop; atomics bypass L1 and warm nothing.
+  const std::uint64_t line0 =
+      base.addr(idx[static_cast<std::size_t>(std::countr_zero(m))]) >> 7;
+  if constexpr (op != Op::kAtomic)
+    sys_->l1[static_cast<std::size_t>(sm_)].prefetch_set(line0 << 7);
   std::array<std::uint64_t, kWarpSize> addr{};
-  const auto& mem = sys_->mem;
-  std::uint64_t line0 = 0;
+  const auto visit = [&](std::size_t l) {
+    const std::uint64_t a = base.addr(idx[l]);
+    addr[l] = a;
+    lane(l, a);
+  };
+  if (m == kFullMask) {
+    // A counted loop unrolls and pipelines better than the mask walk; the
+    // visit order is lane-ascending either way.
+    for (std::size_t l = 0; l < kWarpSize; ++l) visit(l);
+  } else {
+    for (Mask rem = m; rem != 0; rem &= rem - 1)
+      visit(static_cast<std::size_t>(std::countr_zero(rem)));
+  }
+  // Single-line scan: by far the most common vector access in the TLPGNN
+  // kernels is a warp on one contiguous 128 B row, so every active lane
+  // falls in line0 and the request skips the dedup. A separate branchless
+  // pass over all 32 entries (inactive ones masked off) vectorizes; folding
+  // it into the lane loop above lengthens every lane's scalar chain instead.
   std::uint64_t off_line = 0;  // nonzero if any active lane leaves line0
   std::uint32_t smask = 0;
-  if (m == kFullMask) {
-    // Full warp: a plain counted loop unrolls and pipelines better than the
-    // mask walk (no serial dependency on the remaining-lanes word). The
-    // visit order is lane-ascending either way, so counters, cache state,
-    // and data effects are identical.
-    line0 = base.addr(idx[0]) >> 7;
-    sys_->l1[static_cast<std::size_t>(sm_)].prefetch_set(line0 << 7);
-    for (std::size_t l = 0; l < kWarpSize; ++l) {
-      const std::uint64_t a = base.addr(idx[l]);
-      addr[l] = a;
-      out[l] = mem.read<T>(a);
-      off_line |= (a >> 7) ^ line0;
-      smask |= 1u << ((a >> 5) & 3u);
-    }
-  } else {
-    line0 = base.addr(idx[static_cast<std::size_t>(std::countr_zero(m))]) >> 7;
-    sys_->l1[static_cast<std::size_t>(sm_)].prefetch_set(line0 << 7);
-    for (Mask rem = m; rem != 0; rem &= rem - 1) {
-      const auto l = static_cast<std::size_t>(std::countr_zero(rem));
-      const std::uint64_t a = base.addr(idx[l]);
-      addr[l] = a;
-      out[l] = mem.read<T>(a);
-      off_line |= (a >> 7) ^ line0;
-      smask |= 1u << ((a >> 5) & 3u);
-    }
+  for (std::size_t l = 0; l < kWarpSize; ++l) {
+    const std::uint64_t act = (m >> l) & 1u;
+    off_line |= ((addr[l] >> 7) ^ line0) & (0 - act);
+    smask |= static_cast<std::uint32_t>(act) << ((addr[l] >> 5) & 3u);
   }
   if (sys_->trace != nullptr) [[unlikely]]
-    record_trace(addr, m, static_cast<int>(sizeof(T)), Op::kLoad, false);
+    record_trace(addr, m, static_cast<int>(sizeof(T)), op, false);
   ++slot_;
-  if (off_line == 0)
-    request_one_line(line0, smask, Op::kLoad);
-  else
-    request_general(addr, m, Op::kLoad);
-  return out;
+  if (off_line == 0) {
+    const SectorLine line{line0, smask};
+    request_lines(&line, 1, op);
+  } else {
+    request_general(addr, m, op);
+  }
+  if constexpr (op == Op::kAtomic) {
+    // Charge the worst per-address conflict the atomic units serialize.
+    sys_->rec->atomic_ops += std::popcount(m);
+    const double replay = static_cast<double>(worst_atomic_conflict(addr, m)) *
+                          sys_->spec.atomic_replay_cycles;
+    mem_ += replay;
+    sys_->rec->atomic_stall_cycles += replay;
+  }
 }
 
-template <class T>
-void WarpCtx::store_vec(DevPtr<T> base, const WVec<std::int64_t>& idx,
-                        const WVec<T>& val, Mask m) {
-  if (m == 0) return;
-  std::array<std::uint64_t, kWarpSize> addr{};
-  std::uint64_t line0 = 0;
-  std::uint64_t off_line = 0;
-  std::uint32_t smask = 0;
-  if (m == kFullMask) {
-    line0 = base.addr(idx[0]) >> 7;
-    sys_->l1[static_cast<std::size_t>(sm_)].prefetch_set(line0 << 7);
-    for (std::size_t l = 0; l < kWarpSize; ++l) {
-      const std::uint64_t a = base.addr(idx[l]);
-      addr[l] = a;
-      sys_->mem.write<T>(a, val[l]);
-      off_line |= (a >> 7) ^ line0;
-      smask |= 1u << ((a >> 5) & 3u);
-    }
-  } else {
-    line0 = base.addr(idx[static_cast<std::size_t>(std::countr_zero(m))]) >> 7;
-    sys_->l1[static_cast<std::size_t>(sm_)].prefetch_set(line0 << 7);
-    for (Mask rem = m; rem != 0; rem &= rem - 1) {
-      const auto l = static_cast<std::size_t>(std::countr_zero(rem));
-      const std::uint64_t a = base.addr(idx[l]);
-      addr[l] = a;
-      sys_->mem.write<T>(a, val[l]);
-      off_line |= (a >> 7) ^ line0;
-      smask |= 1u << ((a >> 5) & 3u);
-    }
+template <WarpCtx::Op op, class T, class Block, class Lane>
+void WarpCtx::seq(DevPtr<T> base, std::int64_t start, int n, Block&& block,
+                  Lane&& lane) {
+  static_assert(sizeof(T) == 4, "sequential ranges are 4-byte elements");
+  if (n <= 0) return;
+  if (n > kWarpSize) n = kWarpSize;
+  // Guarded memory checks every lane and names the offending address, so it
+  // takes the per-lane loop.
+  if (sys_->mem.mode() != MemoryMode::kFast) [[unlikely]] {
+    lanes<op>(base, seq_idx(start, n), lanes_below(n), lane);
+    return;
   }
-  if (sys_->trace != nullptr) [[unlikely]]
-    record_trace(addr, m, static_cast<int>(sizeof(T)), Op::kStore, false);
-  ++slot_;
-  if (off_line == 0)
-    request_one_line(line0, smask, Op::kStore);
+  const std::uint64_t a0 = base.addr(start);
+  if constexpr (op == Op::kAtomic)
+    sys_->l2.prefetch_set(a0);  // atomics resolve at the L2 units
   else
-    request_general(addr, m, Op::kStore);
+    sys_->l1[static_cast<std::size_t>(sm_)].prefetch_set(a0);
+  block(a0, static_cast<std::size_t>(n));
+  if (sys_->trace != nullptr) [[unlikely]]
+    record_trace(seq_addrs(a0, n), lanes_below(n), 4, op, false);
+  ++slot_;
+  request_span(a0, a0 + 4u * static_cast<std::uint32_t>(n - 1), op);
+  // The n addresses are distinct by construction, so the per-lane loop's
+  // worst-conflict replay charge is identically zero — nothing to add.
+  if constexpr (op == Op::kAtomic) sys_->rec->atomic_ops += n;
 }
 
 WVec<float> WarpCtx::load_f32(DevPtr<float> base,
                               const WVec<std::int64_t>& idx, Mask m) {
-  return load_vec<float>(base, idx, m);
+  WVec<float> out{};
+  lanes<Op::kLoad>(base, idx, m, lane_read(sys_->mem, out));
+  return out;
 }
 
 WVec<std::int32_t> WarpCtx::load_i32(DevPtr<std::int32_t> base,
                                      const WVec<std::int64_t>& idx, Mask m) {
-  return load_vec<std::int32_t>(base, idx, m);
+  WVec<std::int32_t> out{};
+  lanes<Op::kLoad>(base, idx, m, lane_read(sys_->mem, out));
+  return out;
 }
 
 WVec<std::int64_t> WarpCtx::load_i64(DevPtr<std::int64_t> base,
                                      const WVec<std::int64_t>& idx, Mask m) {
-  return load_vec<std::int64_t>(base, idx, m);
+  WVec<std::int64_t> out{};
+  lanes<Op::kLoad>(base, idx, m, lane_read(sys_->mem, out));
+  return out;
 }
 
 void WarpCtx::store_f32(DevPtr<float> base, const WVec<std::int64_t>& idx,
                         const WVec<float>& val, Mask m) {
-  store_vec<float>(base, idx, val, m);
-}
-
-namespace {
-
-/// Lane indices start..start+n-1 — the fallback from a sequential entry
-/// point to the general gather/scatter (guarded memory mode).
-inline WVec<std::int64_t> seq_idx(std::int64_t start, int n) {
-  WVec<std::int64_t> idx{};
-  for (int l = 0; l < n; ++l) idx[static_cast<std::size_t>(l)] = start + l;
-  return idx;
-}
-
-/// Lane addresses of n consecutive 4-byte elements, for trace recording.
-inline std::array<std::uint64_t, kWarpSize> seq_addrs(std::uint64_t a0,
-                                                      int n) {
-  std::array<std::uint64_t, kWarpSize> addr{};
-  for (int l = 0; l < n; ++l)
-    addr[static_cast<std::size_t>(l)] = a0 + 4u * static_cast<std::uint32_t>(l);
-  return addr;
-}
-
-}  // namespace
-
-// The _seq entry points express the dominant "lane l touches element
-// start+l" shape directly: one range bounds check and one block copy
-// replace the 32-iteration per-lane loop, and the line/sector accounting is
-// closed-form (request_span). Guarded memory mode falls back to the general
-// gather/scatter so redzone/use-after-free checking still sees every lane
-// and names the offending lane's address; with a trace attached the
-// per-lane address array is built on demand. All observable effects (data,
-// counters, cache state, costs, trace) are identical to the general path
-// with idx[l] = start+l.
-
-template <class T>
-WVec<T> WarpCtx::load_seq_vec(DevPtr<T> base, std::int64_t start, int n) {
-  static_assert(sizeof(T) == 4, "sequential loads are 4-byte elements");
-  if (n <= 0) return WVec<T>{};
-  if (n > kWarpSize) n = kWarpSize;
-  if (sys_->mem.mode() != MemoryMode::kFast) [[unlikely]]
-    return load_vec<T>(base, seq_idx(start, n), lanes_below(n));
-  WVec<T> out;
-  for (int l = n; l < kWarpSize; ++l) out[static_cast<std::size_t>(l)] = T{};
-  const std::uint64_t a0 = base.addr(start);
-  sys_->l1[static_cast<std::size_t>(sm_)].prefetch_set(a0);
-  sys_->mem.read_block(a0, out.data(), static_cast<std::size_t>(n));
-  if (sys_->trace != nullptr) [[unlikely]]
-    record_trace(seq_addrs(a0, n), lanes_below(n), 4, Op::kLoad, false);
-  ++slot_;
-  request_span(a0, a0 + 4u * static_cast<std::uint32_t>(n - 1), Op::kLoad);
-  return out;
+  lanes<Op::kStore>(base, idx, m, lane_write(sys_->mem, val));
 }
 
 WVec<float> WarpCtx::load_f32_seq(DevPtr<float> base, std::int64_t start,
                                   int n) {
-  return load_seq_vec<float>(base, start, n);
+  WVec<float> out{};
+  seq<Op::kLoad>(base, start, n, block_read(sys_->mem, out),
+                 lane_read(sys_->mem, out));
+  return out;
 }
 
 WVec<std::int32_t> WarpCtx::load_i32_seq(DevPtr<std::int32_t> base,
                                          std::int64_t start, int n) {
-  return load_seq_vec<std::int32_t>(base, start, n);
+  WVec<std::int32_t> out{};
+  seq<Op::kLoad>(base, start, n, block_read(sys_->mem, out),
+                 lane_read(sys_->mem, out));
+  return out;
 }
 
 void WarpCtx::store_f32_seq(DevPtr<float> base, std::int64_t start,
                             const WVec<float>& val, int n) {
-  if (n <= 0) return;
-  if (n > kWarpSize) n = kWarpSize;
-  if (sys_->mem.mode() != MemoryMode::kFast) [[unlikely]] {
-    store_f32(base, seq_idx(start, n), val, lanes_below(n));
-    return;
-  }
-  const std::uint64_t a0 = base.addr(start);
-  sys_->l1[static_cast<std::size_t>(sm_)].prefetch_set(a0);
-  sys_->mem.write_block(a0, val.data(), static_cast<std::size_t>(n));
-  if (sys_->trace != nullptr) [[unlikely]]
-    record_trace(seq_addrs(a0, n), lanes_below(n), 4, Op::kStore, false);
-  ++slot_;
-  request_span(a0, a0 + 4u * static_cast<std::uint32_t>(n - 1), Op::kStore);
+  DeviceMemory& mem = sys_->mem;
+  seq<Op::kStore>(
+      base, start, n,
+      [&](std::uint64_t a0, std::size_t k) {
+        mem.write_block(a0, val.data(), k);
+      },
+      lane_write(mem, val));
 }
+
+// Atomics apply in lane order: floating-point order matters.
 
 void WarpCtx::atomic_add_f32_seq(DevPtr<float> base, std::int64_t start,
                                  const WVec<float>& val, int n) {
-  if (n <= 0) return;
-  if (n > kWarpSize) n = kWarpSize;
-  if (sys_->mem.mode() != MemoryMode::kFast) [[unlikely]] {
-    atomic_add_f32(base, seq_idx(start, n), val, lanes_below(n));
-    return;
-  }
-  const std::uint64_t a0 = base.addr(start);
-  sys_->l2.prefetch_set(a0);  // atomics resolve at the L2 units
-  WVec<float> cur;
-  sys_->mem.read_block(a0, cur.data(), static_cast<std::size_t>(n));
-  for (int l = 0; l < n; ++l)
-    cur[static_cast<std::size_t>(l)] += val[static_cast<std::size_t>(l)];
-  sys_->mem.write_block(a0, cur.data(), static_cast<std::size_t>(n));
-  if (sys_->trace != nullptr) [[unlikely]]
-    record_trace(seq_addrs(a0, n), lanes_below(n), 4, Op::kAtomic, false);
-  ++slot_;
-  request_span(a0, a0 + 4u * static_cast<std::uint32_t>(n - 1), Op::kAtomic);
-  sys_->rec->atomic_ops += n;
-  // The n addresses are distinct by construction, so the scattered path's
-  // worst-conflict replay charge is identically zero — nothing to add.
+  DeviceMemory& mem = sys_->mem;
+  seq<Op::kAtomic>(
+      base, start, n,
+      [&](std::uint64_t a0, std::size_t k) {
+        WVec<float> cur;
+        mem.read_block(a0, cur.data(), k);
+        for (std::size_t l = 0; l < k; ++l) cur[l] += val[l];
+        mem.write_block(a0, cur.data(), k);
+      },
+      [&](std::size_t l, std::uint64_t a) {
+        mem.write<float>(a, mem.read<float>(a) + val[l]);
+      });
 }
-
-namespace {
-
-/// Worst per-address lane multiplicity minus one — the replay count the
-/// atomic units serialize on. Equivalent to the old per-lane prior-conflict
-/// scan (the last lane of the most contended address saw count-1 priors),
-/// but O(lanes) via the same 64-slot table request() uses for line dedup.
-int worst_atomic_conflict(const std::array<std::uint64_t, kWarpSize>& addr,
-                          Mask m) {
-  std::array<std::uint8_t, 64> slot_of{};
-  std::array<std::uint8_t, kWarpSize> count{};
-  std::array<std::uint64_t, kWarpSize> uniq;
-  std::uint64_t used = 0;
-  int nuniq = 0;
-  int worst = 0;
-  for (Mask rem = m; rem != 0; rem &= rem - 1) {
-    const auto l = static_cast<std::size_t>(std::countr_zero(rem));
-    const std::uint64_t a = addr[l];
-    std::uint32_t h = hash64(a);
-    int found = -1;
-    while ((used >> h) & 1u) {
-      const auto i = slot_of[h];
-      if (uniq[i] == a) {
-        found = i;
-        break;
-      }
-      h = (h + 1) & 63u;
-    }
-    if (found < 0) {
-      used |= std::uint64_t{1} << h;
-      slot_of[h] = static_cast<std::uint8_t>(nuniq);
-      uniq[static_cast<std::size_t>(nuniq)] = a;
-      count[static_cast<std::size_t>(nuniq++)] = 1;
-    } else {
-      const int c = ++count[static_cast<std::size_t>(found)];
-      worst = std::max(worst, c - 1);
-    }
-  }
-  return worst;
-}
-
-}  // namespace
 
 void WarpCtx::atomic_add_f32(DevPtr<float> base, const WVec<std::int64_t>& idx,
                              const WVec<float>& val, Mask m) {
-  std::array<std::uint64_t, kWarpSize> addr{};
-  // Apply the adds in lane order (floating-point order matters), then charge
-  // the worst per-address conflict the atomic units must serialize (replay).
-  for (Mask rem = m; rem != 0; rem &= rem - 1) {
-    const auto l = static_cast<std::size_t>(std::countr_zero(rem));
-    const std::uint64_t a = base.addr(idx[l]);
-    addr[l] = a;
-    const float old = sys_->mem.read<float>(a);
-    sys_->mem.write<float>(a, old + val[l]);
-  }
-  const int worst_conflict = worst_atomic_conflict(addr, m);
-  request(addr, m, 4, Op::kAtomic);
-  sys_->rec->atomic_ops += std::popcount(m);
-  const double replay =
-      static_cast<double>(worst_conflict) * sys_->spec.atomic_replay_cycles;
-  mem_ += replay;
-  sys_->rec->atomic_stall_cycles += replay;
+  DeviceMemory& mem = sys_->mem;
+  lanes<Op::kAtomic>(base, idx, m, [&](std::size_t l, std::uint64_t a) {
+    mem.write<float>(a, mem.read<float>(a) + val[l]);
+  });
 }
 
 void WarpCtx::atomic_max_f32(DevPtr<float> base, const WVec<std::int64_t>& idx,
                              const WVec<float>& val, Mask m) {
-  std::array<std::uint64_t, kWarpSize> addr{};
-  for (Mask rem = m; rem != 0; rem &= rem - 1) {
-    const auto l = static_cast<std::size_t>(std::countr_zero(rem));
-    const std::uint64_t a = base.addr(idx[l]);
-    addr[l] = a;
-    const float old = sys_->mem.read<float>(a);
-    sys_->mem.write<float>(a, std::max(old, val[l]));
-  }
-  const int worst_conflict = worst_atomic_conflict(addr, m);
-  request(addr, m, 4, Op::kAtomic);
-  sys_->rec->atomic_ops += std::popcount(m);
-  const double replay =
-      static_cast<double>(worst_conflict) * sys_->spec.atomic_replay_cycles;
-  mem_ += replay;
-  sys_->rec->atomic_stall_cycles += replay;
+  DeviceMemory& mem = sys_->mem;
+  lanes<Op::kAtomic>(base, idx, m, [&](std::size_t l, std::uint64_t a) {
+    mem.write<float>(a, std::max(mem.read<float>(a), val[l]));
+  });
 }
 
 float WarpCtx::load_scalar_f32(DevPtr<float> base, std::int64_t idx) {

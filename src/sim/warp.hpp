@@ -45,8 +45,6 @@ struct MemorySystem {
   KernelRecord* rec = nullptr;  ///< current kernel's counters
   /// Opt-in access recorder for the tlpsan analysis passes; null = off.
   AccessTrace* trace = nullptr;
-  /// Tests can disable tag simulation to get pure compulsory traffic.
-  bool model_caches = true;
 
   explicit MemorySystem(const GpuSpec& s);
   void reset_caches();
@@ -175,29 +173,23 @@ class WarpCtx {
  private:
   enum class Op { kLoad, kStore, kAtomic };
 
-  /// SIMD-style batched core of the vector gather: one lane loop moves the
-  /// data, computes the 32 addresses, and fuses the single-line coalescing
-  /// scan; `*_seq` and the typed public entry points are instances of this
-  /// form. Full-mask requests take a counted loop (unrolls and pipelines
-  /// better than the serial mask walk) — the visit order is lane-ascending
-  /// either way, so counters and cache state are identical.
-  template <class T>
-  WVec<T> load_vec(DevPtr<T> base, const WVec<std::int64_t>& idx, Mask m);
-  /// Batched scatter core, same shape as load_vec.
-  template <class T>
-  void store_vec(DevPtr<T> base, const WVec<std::int64_t>& idx,
-                 const WVec<T>& val, Mask m);
-  /// Batched sequential-range gather: the `*_seq` fast paths are this one
-  /// template (4-byte elements; block copy + closed-form span accounting).
-  template <class T>
-  WVec<T> load_seq_vec(DevPtr<T> base, std::int64_t start, int n);
+  /// The one per-lane front end behind every gather, scatter and scatter
+  /// atomic: calls `lane(l, addr)` for each active lane in ascending order
+  /// (the data movement), scans the recorded addresses for the
+  /// all-lanes-in-one-line case, records the trace access, and prices the
+  /// request as one line or through request_general. kAtomic also counts the
+  /// ops and charges the worst-conflict replay.
+  template <Op op, class T, class Lane>
+  void lanes(DevPtr<T> base, const WVec<std::int64_t>& idx, Mask m,
+             Lane&& lane);
 
-  /// Core of the memory model: dedupes lane addresses into 32 B sectors and
-  /// 128 B lines, probes the caches, charges latency, and records traffic.
-  /// `scalar` marks single-lane broadcast accesses so the divergence pass
-  /// does not mistake them for masked-out lanes.
-  void request(const std::array<std::uint64_t, kWarpSize>& addr, Mask m,
-               int bytes_per_lane, Op op, bool scalar = false);
+  /// The one sequential-range front end behind every `*_seq` entry point:
+  /// clamps `n` to the warp, moves the data with `block(a0, n)` (one range
+  /// check, one block transfer) and prices through request_span. Guarded
+  /// memory falls back to `lanes` with `lane`, so every lane is checked.
+  template <Op op, class T, class Block, class Lane>
+  void seq(DevPtr<T> base, std::int64_t start, int n, Block&& block,
+           Lane&& lane);
 
   /// A deduplicated 128 B line with the mask of its touched 32 B sectors.
   struct SectorLine {
@@ -210,12 +202,6 @@ class WarpCtx {
   /// traffic and per-request counters (requests, issue). Every access entry
   /// point prices through here and nowhere else.
   void request_lines(const SectorLine* lines, int nlines, Op op);
-
-  /// A request whose active lanes all fall in one 128 B line (`smask` = the
-  /// 4-bit 32 B-sector mask within it): a one-element request_lines call,
-  /// with no dedup pass. Used by the fused lane-loop scans in the vector
-  /// load/store entry points and by request()'s own single-line detection.
-  void request_one_line(std::uint64_t line0, std::uint32_t smask, Op op);
 
   /// General multi-line path: dedupes lane addresses into lines with
   /// per-line sector masks (first-occurrence order) and probes each.
@@ -232,7 +218,7 @@ class WarpCtx {
 
   /// Fast path for single-lane broadcast accesses (indptr bounds, neighbor
   /// ids, pool counters): one line, one sector, no dedup pass and no 32-lane
-  /// address array. Produces exactly the counters/costs request() would for
+  /// address array. Produces exactly the counters/costs `lanes` would for
   /// mask 0x1, including the identical TraceAccess when a trace is attached.
   void request_scalar(std::uint64_t addr, int bytes_per_lane, Op op);
 

@@ -13,6 +13,7 @@
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "graph/stats.hpp"
+#include "report/json.hpp"
 
 namespace tlp::fuzz {
 namespace {
@@ -53,6 +54,34 @@ TEST(FuzzLoop, ReportSerializesToJson) {
   const std::string json = report_to_json(run_fuzz(opts));
   EXPECT_NE(json.find("\"cases_run\": 3"), std::string::npos);
   EXPECT_NE(json.find("\"failures\""), std::string::npos);
+}
+
+// Names and details can carry arbitrary bytes (a mutant's detail quotes the
+// mismatching subject); the report must stay valid JSON for every one.
+TEST(FuzzLoop, ReportJsonEscapesControlBytes) {
+  const std::string cr = "cr\rhere";
+  const std::string soh = "soh\x01" "here";
+  const std::string us = "us\x1f" "here";
+
+  ExpectBugsReport eb;
+  eb.mutants.push_back({cr, true, soh, us});
+  const report::Json m =
+      report::Json::parse(report_to_json(eb)).at("mutants").items().at(0);
+  EXPECT_EQ(m.at("name").as_string(), cr);
+  EXPECT_EQ(m.at("caught_by").as_string(), soh);
+  EXPECT_EQ(m.at("detail").as_string(), us);
+
+  FuzzReport fr;
+  fr.failure_counts[soh] = 1;
+  FailureRecord f;
+  f.failure = {cr, us, soh};
+  fr.failures.push_back(f);
+  const report::Json doc = report::Json::parse(report_to_json(fr));
+  EXPECT_EQ(doc.at("failure_counts").members().at(0).first, soh);
+  const report::Json& rec = doc.at("failures").items().at(0);
+  EXPECT_EQ(rec.at("oracle").as_string(), cr);
+  EXPECT_EQ(rec.at("subject").as_string(), us);
+  EXPECT_EQ(rec.at("detail").as_string(), soh);
 }
 
 TEST(ExpectBugs, EverySeededMutantIsCaught) {

@@ -55,10 +55,30 @@ TEST(Json, NumbersUseShortestRoundTripForm) {
 }
 
 TEST(Json, StringEscapesRoundTrip) {
+  std::string s = "quote \" backslash \\ newline \n tab \t, every control:";
+  for (char c = 1; c < 0x20; ++c) s.push_back(c);
   Json doc = Json::object();
-  doc.set("s", "quote \" backslash \\ newline \n tab \t");
-  EXPECT_EQ(Json::parse(doc.dump()).at("s").as_string(),
-            doc.at("s").as_string());
+  doc.set("s", s);
+  EXPECT_EQ(Json::parse(doc.dump()).at("s").as_string(), s);
+  EXPECT_EQ(Json::parse("\"" + json_escape(s) + "\"").as_string(), s);
+  EXPECT_EQ(json_escape("cr\rhere"), "cr\\rhere");
+  EXPECT_EQ(json_escape("soh\x01" "here"), "soh\\u0001here");
+}
+
+TEST(Json, UnicodeEscapeNeedsFourHexDigits) {
+  EXPECT_EQ(Json::parse("\"\\u000d\"").as_string(), "\r");
+  EXPECT_EQ(Json::parse("\"a\\u001Fb\"").as_string(), "a\x1f" "b");
+  // A short escape must not swallow the following character: "\u00dh" is
+  // not "\r" followed by a dropped 'h'.
+  for (const std::string bad : {"\"\\u00dh\"", "\"\\uZZZZ\"", "\"\\u-001\""}) {
+    try {
+      Json::parse(bad);
+      FAIL() << "expected JsonError for " << bad;
+    } catch (const JsonError& e) {
+      EXPECT_EQ(e.message, "bad \\u escape") << bad;
+      EXPECT_EQ(e.offset, 3) << bad;
+    }
+  }
 }
 
 TEST(Json, ParseErrorsCarryByteOffsets) {

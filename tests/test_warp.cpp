@@ -126,6 +126,21 @@ TEST_F(WarpFixture, AtomicConflictsSerialize) {
   EXPECT_GT(conflict_cost, spread.mem_cycles() + 30 * 31);
 }
 
+// 32 lanes over 4 addresses: 8 lanes per address, so the atomic units
+// replay the worst address 7 times, for add and max alike.
+TEST_F(WarpFixture, AtomicConflictChargesWorstAddressReplays) {
+  WVec<std::int64_t> idx{};
+  for (int l = 0; l < kWarpSize; ++l) idx[static_cast<std::size_t>(l)] = l % 4;
+  WVec<float> vals{};
+  const double expected = 7 * sys.spec.atomic_replay_cycles;
+  WarpCtx w(sys, 0);
+  w.atomic_add_f32(data, idx, vals, kFullMask);
+  EXPECT_EQ(rec.atomic_stall_cycles, expected);
+  w.atomic_max_f32(data, idx, vals, kFullMask);
+  EXPECT_EQ(rec.atomic_stall_cycles, 2 * expected);
+  EXPECT_EQ(rec.atomic_ops, 64);
+}
+
 TEST_F(WarpFixture, AtomicMaxApplies) {
   WarpCtx w(sys, 0);
   WVec<std::int64_t> idx{};
@@ -171,26 +186,20 @@ TEST_F(WarpFixture, ChargeAluAccumulates) {
   EXPECT_DOUBLE_EQ(w.issue_cycles(), 4.0);
 }
 
-TEST_F(WarpFixture, CacheModelCanBeDisabled) {
-  sys.model_caches = false;
-  WarpCtx w(sys, 0);
-  (void)w.load_f32(data, iota(0), kFullMask);
-  (void)w.load_f32(data, iota(0), kFullMask);
-  EXPECT_EQ(rec.l1_accesses, 0);
-  // Without caches every sector is compulsory traffic.
-  EXPECT_EQ(rec.bytes_load, 2 * 4 * 32);
-}
-
 // --- front ends against the general gather/scatter --------------------------
 // The _seq entry points must price exactly like the general path with
 // idx[l] = start + l under lanes_below(n), and the scalar ones exactly like a
 // one-lane general request. Each case runs its access twice (cold, then warm)
-// on two fresh, identical memory systems, then compares counters, costs and
-// data, and finally the cache state a follow-up probe sees.
+// on two fresh, identical memory systems, then compares counters, costs,
+// data and the recorded trace, and finally the cache state a follow-up probe
+// sees.
 
 struct Side {
-  Side() : sys(GpuSpec::v100()) {
+  explicit Side(MemoryMode mode) : sys(GpuSpec::v100()) {
+    sys.mem.set_mode(mode);
     sys.rec = &rec;
+    trace.begin_kernel("front_end");
+    sys.trace = &trace;
     data = sys.mem.alloc<float>(4096);
     auto v = sys.mem.view(data);
     for (std::size_t i = 0; i < v.size(); ++i)
@@ -199,6 +208,7 @@ struct Side {
 
   MemorySystem sys;
   KernelRecord rec;
+  AccessTrace trace;
   DevPtr<float> data;
 };
 
@@ -220,14 +230,46 @@ void expect_same_pricing(const Side& a, const WarpCtx& wa, const Side& b,
   EXPECT_EQ(wa.mem_cycles(), wb.mem_cycles()) << label;
 }
 
+/// Every recorded access must agree field by field. A scalar front end is
+/// the one exception: it marks its accesses `scalar` (a broadcast, not a
+/// one-lane divergent request), which the one-lane general path does not.
+void expect_same_trace(const AccessTrace& a, const AccessTrace& b,
+                       bool front_scalar, const std::string& label) {
+  const auto& ta = a.kernels().at(0).accesses;
+  const auto& tb = b.kernels().at(0).accesses;
+  ASSERT_EQ(ta.size(), tb.size()) << label;
+  for (std::size_t i = 0; i < ta.size(); ++i) {
+    const std::string at = label + " access " + std::to_string(i);
+    EXPECT_EQ(ta[i].warp, tb[i].warp) << at;
+    EXPECT_EQ(ta[i].item, tb[i].item) << at;
+    EXPECT_EQ(ta[i].site, tb[i].site) << at;
+    EXPECT_EQ(ta[i].slot, tb[i].slot) << at;
+    EXPECT_EQ(ta[i].kind, tb[i].kind) << at;
+    EXPECT_EQ(ta[i].bytes, tb[i].bytes) << at;
+    const bool probe = i + 1 == ta.size();  // the general follow-up load
+    EXPECT_EQ(ta[i].scalar, front_scalar && !probe) << at;
+    EXPECT_FALSE(tb[i].scalar) << at;
+    EXPECT_EQ(ta[i].mask, tb[i].mask) << at;
+    EXPECT_EQ(ta[i].addr, tb[i].addr) << at;
+  }
+}
+
 /// Runs `front` on one side and `general` on the other (each twice), then
-/// checks that pricing, data and cache state agree.
+/// checks that pricing, data, trace and cache state agree.
 template <class Front, class General>
 void expect_front_matches_general(const std::string& label,
                                   std::int64_t start, Front&& front,
-                                  General&& general) {
-  Side a, b;
-  WarpCtx wa(a.sys, 0), wb(b.sys, 0);
+                                  General&& general,
+                                  MemoryMode mode = MemoryMode::kFast,
+                                  bool front_scalar = false) {
+  Side a(mode), b(mode);
+  AccessSite site;
+  site.id = 5;
+  WarpCtx wa(a.sys, 0, /*warp_id=*/7), wb(b.sys, 0, /*warp_id=*/7);
+  for (WarpCtx* w : {&wa, &wb}) {
+    w->begin_item(3);
+    w->site(&site);
+  }
   for (int round = 0; round < 2; ++round) {
     front(wa, a.data);
     general(wb, b.data);
@@ -254,6 +296,7 @@ void expect_front_matches_general(const std::string& label,
   (void)wa.load_f32(a.data, probe, kFullMask);
   (void)wb.load_f32(b.data, probe, kFullMask);
   expect_same_pricing(a, wa, b, wb, label + " follow-up probe");
+  expect_same_trace(a.trace, b.trace, front_scalar, label);
 }
 
 WVec<std::int64_t> seq_lanes(std::int64_t start, int n) {
@@ -271,7 +314,7 @@ WVec<float> lane_values() {
 
 // Starts 0 and 8 lie inside one 128 B line for small n; 8 + 31 and 29 + 5
 // straddle a line boundary.
-TEST(WarpFrontEnds, SequentialMatchesGeneral) {
+void expect_sequential_matches_general(MemoryMode mode) {
   const WVec<float> val = lane_values();
   for (const std::int64_t start : {0, 8, 29}) {
     for (const int n : {1, 5, 31, 32}) {
@@ -288,13 +331,15 @@ TEST(WarpFrontEnds, SequentialMatchesGeneral) {
                         l < n ? static_cast<float>(start + l) : 0.0f)
                   << "load" << at << " lane " << l;
           },
-          [&](WarpCtx& w, DevPtr<float> d) { (void)w.load_f32(d, idx, m); });
+          [&](WarpCtx& w, DevPtr<float> d) { (void)w.load_f32(d, idx, m); },
+          mode);
       expect_front_matches_general(
           "store" + at, start,
           [&](WarpCtx& w, DevPtr<float> d) {
             w.store_f32_seq(d, start, val, n);
           },
-          [&](WarpCtx& w, DevPtr<float> d) { w.store_f32(d, idx, val, m); });
+          [&](WarpCtx& w, DevPtr<float> d) { w.store_f32(d, idx, val, m); },
+          mode);
       expect_front_matches_general(
           "atomic_add" + at, start,
           [&](WarpCtx& w, DevPtr<float> d) {
@@ -302,9 +347,21 @@ TEST(WarpFrontEnds, SequentialMatchesGeneral) {
           },
           [&](WarpCtx& w, DevPtr<float> d) {
             w.atomic_add_f32(d, idx, val, m);
-          });
+          },
+          mode);
     }
   }
+}
+
+TEST(WarpFrontEnds, SequentialMatchesGeneral) {
+  expect_sequential_matches_general(MemoryMode::kFast);
+}
+
+// Guarded memory sends the sequential ranges through the per-lane loop, so
+// every lane is checked against the redzones; that fallback must price the
+// same as the general path too.
+TEST(WarpFrontEnds, SequentialMatchesGeneralGuarded) {
+  expect_sequential_matches_general(MemoryMode::kGuarded);
 }
 
 TEST(WarpFrontEnds, ScalarMatchesOneLaneGeneral) {
@@ -319,7 +376,8 @@ TEST(WarpFrontEnds, ScalarMatchesOneLaneGeneral) {
         [&](WarpCtx& w, DevPtr<float> d) {
           EXPECT_EQ(w.load_scalar_f32(d, i), static_cast<float>(i));
         },
-        [&](WarpCtx& w, DevPtr<float> d) { (void)w.load_f32(d, idx, 0x1u); });
+        [&](WarpCtx& w, DevPtr<float> d) { (void)w.load_f32(d, idx, 0x1u); },
+        MemoryMode::kFast, /*front_scalar=*/true);
     expect_front_matches_general(
         "atomic_add_scalar" + at, i,
         [&](WarpCtx& w, DevPtr<float> d) {
@@ -327,7 +385,8 @@ TEST(WarpFrontEnds, ScalarMatchesOneLaneGeneral) {
         },
         [&](WarpCtx& w, DevPtr<float> d) {
           w.atomic_add_f32(d, idx, val, 0x1u);
-        });
+        },
+        MemoryMode::kFast, /*front_scalar=*/true);
   }
 }
 
