@@ -1,6 +1,11 @@
 // Shared harness code for the per-table/per-figure benches that the
 // tools/tlpbench suite driver runs in-process (bench/suite.hpp).
 //
+// A bench is a function from its config to records: it measures, appends
+// tlpbench-v1 records through its Reporter, and prints nothing. tlpbench
+// shows each bench's records on stdout through the same src/report section
+// renderer that writes EXPERIMENTS.md, so the two cannot drift apart.
+//
 // Every flag has a default, so a bench runs with no arguments on
 // scaled-down dataset replicas (see DESIGN.md §1). tlpbench forwards its
 // global overrides to each bench as that bench's Args:
@@ -14,14 +19,11 @@
 #pragma once
 
 #include <algorithm>
-#include <cstdio>
 #include <map>
 #include <sstream>
 #include <string>
 
 #include "common/cli.hpp"
-#include "common/format.hpp"
-#include "common/table.hpp"
 #include "graph/datasets.hpp"
 #include "models/reference.hpp"
 #include "report/report.hpp"
@@ -104,10 +106,6 @@ inline systems::RunResult run_system(
   sim::Device dev(gpu);
   auto sys = systems::make_system(system_name);
   return sys->run(dev, g, feat, spec);
-}
-
-inline void print_header(const std::string& title, const std::string& setup) {
-  std::printf("\n=== %s ===\n%s\n\n", title.c_str(), setup.c_str());
 }
 
 /// Structured-result sink handed to every bench entry point: appends the

@@ -69,10 +69,6 @@ int run(const Args& args, Reporter& rep) {
   sopts.max_batch = 4;
   sopts.batch_window_ms = 1.0;
 
-  print_header("Serving SLO under fault storm",
-               "dataset PD | " + g.summary() + " | " +
-                   std::to_string(topts.num_requests) + " requests");
-
   // Fault-free twin.
   serve::Server clean(sopts);
   const serve::ServeResult base = clean.run(traffic, spec);
@@ -117,19 +113,6 @@ int run(const Args& args, Reporter& rep) {
   rep.add("serving", "PD", "storm_vs_fault_free")
       .value("served_in_both", static_cast<double>(both))
       .value("mismatched", static_cast<double>(mismatched));
-
-  TextTable t({"variant", "ok", "retried", "degraded", "rejected", "failed",
-               "p50 ms", "p99 ms"});
-  for (const auto* pr : {&base.report, &storm.report}) {
-    t.add_row({pr == &base.report ? "fault_free" : "storm",
-               std::to_string(pr->ok), std::to_string(pr->retried),
-               std::to_string(pr->degraded), std::to_string(pr->rejected),
-               std::to_string(pr->failed), fixed(pr->p50_ms, 3),
-               fixed(pr->p99_ms, 3)});
-  }
-  t.print();
-  std::printf("bit-identity: %lld served in both, %lld mismatched\n",
-              static_cast<long long>(both), static_cast<long long>(mismatched));
   return mismatched == 0 ? 0 : 1;
 }
 

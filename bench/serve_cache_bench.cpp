@@ -62,10 +62,6 @@ int run(const Args& args, Reporter& rep) {
   sopts.max_batch = 4;
   sopts.batch_window_ms = 1.0;
 
-  print_header("Feature-cache sweep (pre-sampling vs degree vs none)",
-               "dataset PD | " + g.summary() + " | " +
-                   std::to_string(topts.num_requests) + " requests");
-
   // Uncached reference: the legacy free-gather path every cached run must
   // match bitwise.
   serve::Server reference(sopts);
@@ -81,8 +77,6 @@ int run(const Args& args, Reporter& rep) {
       {"presample_r20", serve::CachePolicy::kPresample, 0.20},
   };
 
-  TextTable t({"variant", "pinned", "hit ratio", "gather ms", "p50 ms",
-               "p99 ms", "req/s"});
   std::int64_t total_both = 0;
   std::int64_t total_mismatched = 0;
   for (const SweepPoint& pt : sweep) {
@@ -134,22 +128,12 @@ int run(const Args& args, Reporter& rep) {
         .value("throughput_rps", res.report.throughput_rps)
         .value("served_in_both", static_cast<double>(both))
         .value("mismatched", static_cast<double>(mismatched));
-
-    t.add_row({pt.variant, std::to_string(cs.pinned_rows),
-               fixed(cs.hit_ratio(), 3), fixed(cs.gather_ms, 3),
-               fixed(res.report.p50_ms, 3), fixed(res.report.p99_ms, 3),
-               fixed(res.report.throughput_rps, 1)});
   }
 
   // One aggregate record so a single zero assertion covers every variant.
   rep.add("serve_cache", "PD", "all_vs_uncached")
       .value("served_in_both", static_cast<double>(total_both))
       .value("mismatched", static_cast<double>(total_mismatched));
-
-  t.print();
-  std::printf("bit-identity: %lld served pairs, %lld mismatched\n",
-              static_cast<long long>(total_both),
-              static_cast<long long>(total_mismatched));
   return total_mismatched == 0 ? 0 : 1;
 }
 

@@ -47,10 +47,10 @@ int main(int argc, char** argv) {
               pct(result.metrics.achieved_occupancy).c_str(),
               pct(result.metrics.sm_utilization).c_str());
 
-  // 4. Check the result against the CPU reference (always true — the
-  //    simulator computes, it does not approximate).
+  // 4. Check the result against the CPU reference (the simulator computes,
+  //    it does not approximate); a mismatch fails the program.
   const tensor::Tensor ref = models::reference_conv(g, feat, spec);
-  std::printf("matches CPU reference: %s\n",
-              tensor::allclose(result.output, ref, 1e-3, 1e-4) ? "yes" : "NO");
-  return 0;
+  const bool ok = tensor::allclose(result.output, ref, 1e-3, 1e-4);
+  std::printf("matches CPU reference: %s\n", ok ? "yes" : "NO");
+  return ok ? 0 : 1;
 }

@@ -1,10 +1,13 @@
-// Renders EXPERIMENTS.md from a tlpbench Report (DESIGN.md §9).
+// Renders tlpbench records as Markdown (DESIGN.md §9): one section per bench,
+// shown on stdout by a `tlpbench` run, and EXPERIMENTS.md, which strings the
+// sections together.
 //
-// The document is *derived*: paper-side numbers and deviation commentary are
-// fixed text owned by this generator, every measured number is interpolated
-// from the report, and a provenance footer records where the data came from.
-// `tlpbench --render-md` writes it; CI fails when the committed file drifts
-// from the generator output.
+// The output is *derived*: paper-side numbers and deviation commentary are
+// fixed text owned by this renderer (each paper number lives here once),
+// every measured number is interpolated from the report, and a provenance
+// footer records where the data came from. `tlpbench --render-md` writes the
+// document; CI fails when the committed file drifts from the renderer
+// output.
 #pragma once
 
 #include <string>
@@ -15,9 +18,14 @@
 
 namespace tlp::report {
 
-/// Full EXPERIMENTS.md content for `report`, with the shape-assertion
-/// outcomes summarized up front. Deterministic: same report + outcomes,
-/// same bytes.
+/// The section of suite bench `bench` (a `tlpbench --list` id): heading,
+/// config line, tables and commentary, or a placeholder note when the report
+/// lacks the bench. Empty for an id with no section.
+std::string render_section(const Report& report, const std::string& bench);
+
+/// Full EXPERIMENTS.md content for `report`: preamble, the shape-assertion
+/// outcomes, every bench section in suite order, footer. Deterministic:
+/// same report + outcomes, same bytes.
 std::string render_experiments_md(const Report& report,
                                   const std::vector<ShapeOutcome>& shapes);
 

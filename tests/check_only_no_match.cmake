@@ -40,18 +40,41 @@ if(EXISTS "${CMAKE_CURRENT_BINARY_DIR}/only_no_match.json")
   message(FATAL_ERROR "zero-match run wrote a report file; it must not")
 endif()
 
-# Case 3: bench-specific flags are forwarded to the selected bench.
+# Case 3: bench-specific flags are forwarded to the selected bench. Both
+# serve runs must account for exactly the 7 requested requests.
+set(forward_json "${CMAKE_CURRENT_BINARY_DIR}/only_forward.json")
 execute_process(
   COMMAND "${TLPBENCH}" --only serve --requests 7 --max-edges 20000
-          --no-assert --out "${CMAKE_CURRENT_BINARY_DIR}/only_forward.json"
+          --no-assert --out "${forward_json}"
   RESULT_VARIABLE rc3
-  OUTPUT_VARIABLE out3
+  OUTPUT_QUIET
   ERROR_VARIABLE err3)
 if(NOT rc3 EQUAL 0)
   message(FATAL_ERROR "--only serve --requests 7: expected exit 0, got ${rc3}: ${err3}")
 endif()
-if(NOT out3 MATCHES "\\| 7 requests\n")
-  message(FATAL_ERROR "--only serve --requests 7: the bench did not run 7 "
-                      "requests (flag not forwarded), got: ${out3}")
+file(READ "${forward_json}" doc)
+string(JSON nrec LENGTH "${doc}" benches 0 records)
+math(EXPR last "${nrec} - 1")
+set(checked "")
+foreach(i RANGE ${last})
+  string(JSON variant GET "${doc}" benches 0 records ${i} variant)
+  if(NOT variant MATCHES "^(fault_free|storm)$")
+    continue()
+  endif()
+  set(total 0)
+  foreach(outcome ok retried degraded rejected failed unaccounted)
+    string(JSON n GET "${doc}" benches 0 records ${i} values ${outcome})
+    math(EXPR total "${total} + ${n}")
+  endforeach()
+  if(NOT total EQUAL 7)
+    message(FATAL_ERROR "--only serve --requests 7: the ${variant} run "
+                        "accounted for ${total} requests, not 7 (flag not "
+                        "forwarded)")
+  endif()
+  list(APPEND checked ${variant})
+endforeach()
+if(NOT checked STREQUAL "fault_free;storm")
+  message(FATAL_ERROR "--only serve --requests 7: expected fault_free and "
+                      "storm records, found: ${checked}")
 endif()
-file(REMOVE "${CMAKE_CURRENT_BINARY_DIR}/only_forward.json")
+file(REMOVE "${forward_json}")

@@ -324,5 +324,18 @@ TEST(RenderMd, DeterministicWithProvenanceAndShapeSummary) {
   EXPECT_NE(md.find("tlpbench-v1"), std::string::npos);
 }
 
+TEST(RenderMd, DocumentStringsTogetherTheBenchSections) {
+  const Report rep = tiny_report();
+  const std::string section = render_section(rep, "table1");
+  EXPECT_EQ(section.rfind("## Table 1", 0), 0u);
+  EXPECT_NE(section.find("(`tlpbench --only table1`)"), std::string::npos);
+  EXPECT_NE(section.find("Config: max-edges 1.0K"), std::string::npos);
+  // The document embeds the very bytes a tlpbench run prints for the bench.
+  EXPECT_NE(render_experiments_md(rep, {}).find(section), std::string::npos);
+  // A bench the report lacks keeps its heading with a note.
+  EXPECT_NE(render_section(rep, "fig9").find("Not present"), std::string::npos);
+  EXPECT_EQ(render_section(rep, "no_such_bench"), "");
+}
+
 }  // namespace
 }  // namespace tlp::report

@@ -1,7 +1,9 @@
 // tlpbench: machine-readable benchmark pipeline driver (DESIGN.md §9).
 //
-//   tlpbench                         # run the full suite, write BENCH_<date>.json,
-//                                    # check bench/baseline.json shape assertions
+//   tlpbench                         # run the full suite, print each bench's
+//                                    # EXPERIMENTS.md section, write
+//                                    # BENCH_<date>.json, check
+//                                    # bench/baseline.json shape assertions
 //   tlpbench --only table1,fig9      # subset by suite id
 //   tlpbench --list                  # show the registered benches
 //   tlpbench --seed 7 --max-edges 50000 --feature 64 --full
@@ -123,9 +125,22 @@ int print_shape_outcomes(const std::vector<report::ShapeOutcome>& outcomes) {
   return failures;
 }
 
+/// The assertions whose bench is in `results`: a partial run, or a render of
+/// one, is not charged with the benches it did not run.
+std::vector<report::ShapeAssertion> applicable_to(
+    const std::vector<report::ShapeAssertion>& assertions,
+    const report::Report& results) {
+  std::vector<report::ShapeAssertion> out;
+  for (const report::ShapeAssertion& a : assertions) {
+    if (results.find_bench(a.bench) != nullptr) out.push_back(a);
+  }
+  return out;
+}
+
 /// Renders EXPERIMENTS.md content from a results snapshot + its assertions.
 std::string render_from_baseline(const Baseline& b) {
-  const auto outcomes = report::evaluate_all(b.assertions, b.results);
+  const auto outcomes =
+      report::evaluate_all(applicable_to(b.assertions, b.results), b.results);
   return report::render_experiments_md(b.results, outcomes);
 }
 
@@ -209,11 +224,15 @@ int run_mode(const Args& args) {
         std::chrono::duration<double, std::milli>(
             std::chrono::steady_clock::now() - bench_start)
             .count());
+    merged.benches.push_back(std::move(result));
+    // Benches print nothing: stdout shows the records just collected through
+    // the section renderer that also writes EXPERIMENTS.md.
+    std::fputs(report::render_section(merged, def->name).c_str(), stdout);
+    std::fflush(stdout);
     if (rc != 0) {
       std::fprintf(stderr, "error: bench %s exited with %d\n", def->name, rc);
       return 1;
     }
-    merged.benches.push_back(std::move(result));
   }
   const double total_wall_ms =
       std::chrono::duration<double, std::milli>(
@@ -285,10 +304,8 @@ int run_mode(const Args& args) {
   }
 
   // Evaluate against the *fresh* results: only assertions whose bench ran.
-  std::vector<report::ShapeAssertion> applicable;
-  for (const report::ShapeAssertion& a : baseline.assertions) {
-    if (merged.find_bench(a.bench) != nullptr) applicable.push_back(a);
-  }
+  const std::vector<report::ShapeAssertion> applicable =
+      applicable_to(baseline.assertions, merged);
   const auto outcomes = report::evaluate_all(applicable, merged);
   const int failures = print_shape_outcomes(outcomes);
   if (static_cast<std::size_t>(failures) < applicable.size() &&
