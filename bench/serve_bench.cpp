@@ -12,7 +12,6 @@
 // served request receives).
 //
 // Extra flag: --requests N (traffic length; default 120).
-#include <cstring>
 
 #include "bench_common.hpp"
 #include "serve/server.hpp"
@@ -97,23 +96,12 @@ int run(const Args& args, Reporter& rep) {
   add_slo(rep, "storm", storm.report);
 
   // The bit-identity contract, recorded as metrics the baseline asserts on.
-  std::int64_t both = 0;
-  std::int64_t mismatched = 0;
-  for (std::size_t i = 0; i < traffic.size(); ++i) {
-    const serve::Response& a = storm.responses[i];
-    const serve::Response& b = base.responses[i];
-    if (!a.served() || !b.served()) continue;
-    ++both;
-    if (a.output.size() != b.output.size() ||
-        std::memcmp(a.output.data(), b.output.data(),
-                    a.output.size() * sizeof(float)) != 0) {
-      ++mismatched;
-    }
-  }
+  const serve::ServedComparison cmp =
+      serve::compare_served(storm.responses, base.responses);
   rep.add("serving", "PD", "storm_vs_fault_free")
-      .value("served_in_both", static_cast<double>(both))
-      .value("mismatched", static_cast<double>(mismatched));
-  return mismatched == 0 ? 0 : 1;
+      .value("served_in_both", static_cast<double>(cmp.served_in_both))
+      .value("mismatched", static_cast<double>(cmp.mismatched.size()));
+  return cmp.mismatched.empty() ? 0 : 1;
 }
 
 }  // namespace

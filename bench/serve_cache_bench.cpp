@@ -17,7 +17,6 @@
 // monotonically with cache size, and the bitwise mismatch count is zero.
 //
 // Extra flag: --requests N (traffic length; default 120).
-#include <cstring>
 #include <optional>
 #include <string>
 #include <vector>
@@ -89,21 +88,10 @@ int run(const Args& args, Reporter& rep) {
     const serve::CacheStats& cs = cache.stats();
 
     // Bit-identity vs the uncached reference.
-    std::int64_t both = 0;
-    std::int64_t mismatched = 0;
-    for (std::size_t i = 0; i < traffic.size(); ++i) {
-      const serve::Response& a = res.responses[i];
-      const serve::Response& b = base.responses[i];
-      if (!a.served() || !b.served()) continue;
-      ++both;
-      if (a.output.size() != b.output.size() ||
-          std::memcmp(a.output.data(), b.output.data(),
-                      a.output.size() * sizeof(float)) != 0) {
-        ++mismatched;
-      }
-    }
-    total_both += both;
-    total_mismatched += mismatched;
+    const serve::ServedComparison cmp =
+        serve::compare_served(res.responses, base.responses);
+    total_both += cmp.served_in_both;
+    total_mismatched += static_cast<std::int64_t>(cmp.mismatched.size());
 
     const std::int64_t gathered_bytes = cs.bytes_hit + cs.bytes_miss;
     const double reduction =
@@ -126,8 +114,8 @@ int run(const Args& args, Reporter& rep) {
         .value("p99_ms", res.report.p99_ms)
         .value("mean_ms", res.report.mean_ms)
         .value("throughput_rps", res.report.throughput_rps)
-        .value("served_in_both", static_cast<double>(both))
-        .value("mismatched", static_cast<double>(mismatched));
+        .value("served_in_both", static_cast<double>(cmp.served_in_both))
+        .value("mismatched", static_cast<double>(cmp.mismatched.size()));
   }
 
   // One aggregate record so a single zero assertion covers every variant.

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <set>
-#include <sstream>
+#include <utility>
 
 #include "report/json.hpp"
 
@@ -50,40 +50,32 @@ void sort_diagnostics(std::vector<Diagnostic>& diags) {
             });
 }
 
-using report::json_escape;
+using report::Json;
 
 std::string to_json(const std::vector<Diagnostic>& diags, bool truncated) {
-  std::ostringstream os;
-  os << "{\n  \"tool\": \"tlplint\",\n  \"version\": 1,\n"
-     << "  \"trace_truncated\": " << (truncated ? "true" : "false") << ",\n"
-     << "  \"diagnostics\": [\n";
-  for (std::size_t i = 0; i < diags.size(); ++i) {
-    const Diagnostic& d = diags[i];
-    os << "    {\n"
-       << "      \"key\": \"" << json_escape(d.key()) << "\",\n"
-       << "      \"rule\": \"" << json_escape(d.rule) << "\",\n"
-       << "      \"severity\": \"" << severity_name(d.severity) << "\",\n"
-       << "      \"suppressed\": " << (d.suppressed ? "true" : "false")
-       << ",\n";
-    if (d.suppressed) {
-      os << "      \"suppress_reason\": \"" << json_escape(d.suppress_reason)
-         << "\",\n";
-    }
-    os << "      \"system\": \"" << json_escape(d.system) << "\",\n"
-       << "      \"dataset\": \"" << json_escape(d.dataset) << "\",\n"
-       << "      \"kernel\": \"" << json_escape(d.kernel) << "\",\n"
-       << "      \"site\": \"" << json_escape(d.site) << "\",\n";
-    if (!d.site2.empty())
-      os << "      \"site2\": \"" << json_escape(d.site2) << "\",\n";
-    if (!d.location.empty())
-      os << "      \"location\": \"" << json_escape(d.location) << "\",\n";
-    os << "      \"metric\": " << d.metric << ",\n"
-       << "      \"count\": " << d.count << ",\n"
-       << "      \"message\": \"" << json_escape(d.message) << "\"\n"
-       << "    }" << (i + 1 < diags.size() ? "," : "") << '\n';
+  Json list = Json::array();
+  for (const Diagnostic& d : diags) {
+    Json o = Json::object({{"key", d.key()},
+                           {"rule", d.rule},
+                           {"severity", severity_name(d.severity)},
+                           {"suppressed", d.suppressed}});
+    if (d.suppressed) o.set("suppress_reason", d.suppress_reason);
+    o.set("system", d.system);
+    o.set("dataset", d.dataset);
+    o.set("kernel", d.kernel);
+    o.set("site", d.site);
+    if (!d.site2.empty()) o.set("site2", d.site2);
+    if (!d.location.empty()) o.set("location", d.location);
+    o.set("metric", d.metric);
+    o.set("count", d.count);
+    o.set("message", d.message);
+    list.push_back(std::move(o));
   }
-  os << "  ]\n}\n";
-  return os.str();
+  return Json::object({{"tool", "tlplint"},
+                       {"version", 1},
+                       {"trace_truncated", truncated},
+                       {"diagnostics", std::move(list)}})
+      .dump();
 }
 
 namespace {
@@ -122,92 +114,71 @@ void split_location(const std::string& loc, std::string& uri, int& line) {
 }  // namespace
 
 std::string to_sarif(const std::vector<Diagnostic>& diags) {
+  const auto text = [](std::string t) {
+    return Json::object({{"text", std::move(t)}});
+  };
   // Rules table: one reportingDescriptor per distinct rule id, sorted.
-  std::set<std::string> rules;
-  for (const Diagnostic& d : diags) rules.insert(d.rule);
-
-  std::ostringstream os;
-  os << "{\n"
-     << "  \"$schema\": "
-        "\"https://json.schemastore.org/sarif-2.1.0.json\",\n"
-     << "  \"version\": \"2.1.0\",\n"
-     << "  \"runs\": [\n    {\n"
-     << "      \"tool\": {\n        \"driver\": {\n"
-     << "          \"name\": \"tlplint\",\n"
-     << "          \"version\": \"2.0.0\",\n"
-     << "          \"informationUri\": "
-        "\"https://example.invalid/tlpgnn/tlpsan\",\n"
-     << "          \"rules\": [\n";
-  std::size_t ri = 0;
-  for (const std::string& r : rules) {
-    os << "            {\n"
-       << "              \"id\": \"" << json_escape(r) << "\",\n"
-       << "              \"shortDescription\": { \"text\": \""
-       << json_escape(rule_description(r)) << "\" }\n"
-       << "            }" << (++ri < rules.size() ? "," : "") << '\n';
+  std::set<std::string> rule_ids;
+  for (const Diagnostic& d : diags) rule_ids.insert(d.rule);
+  Json rules = Json::array();
+  for (const std::string& r : rule_ids) {
+    rules.push_back(Json::object(
+        {{"id", r}, {"shortDescription", text(rule_description(r))}}));
   }
-  os << "          ]\n        }\n      },\n"
-     << "      \"results\": [\n";
-  for (std::size_t i = 0; i < diags.size(); ++i) {
-    const Diagnostic& d = diags[i];
+
+  Json results = Json::array();
+  for (const Diagnostic& d : diags) {
     // SARIF levels coincide with our severity names (error/warning/note).
-    os << "        {\n"
-       << "          \"ruleId\": \"" << json_escape(d.rule) << "\",\n"
-       << "          \"level\": \"" << severity_name(d.severity) << "\",\n"
-       << "          \"message\": { \"text\": \"" << json_escape(d.message)
-       << "\" },\n";
+    Json res = Json::object({{"ruleId", d.rule},
+                             {"level", severity_name(d.severity)},
+                             {"message", text(d.message)}});
     if (!d.location.empty()) {
       std::string uri;
       int line = 0;
       split_location(d.location, uri, line);
-      os << "          \"locations\": [\n"
-         << "            {\n"
-         << "              \"physicalLocation\": {\n"
-         << "                \"artifactLocation\": { \"uri\": \""
-         << json_escape(uri) << "\", \"uriBaseId\": \"SRCROOT\" }";
-      if (line > 0) {
-        os << ",\n                \"region\": { \"startLine\": " << line
-           << " }";
-      }
-      os << "\n              }\n            }\n          ],\n";
+      Json physical = Json::object(
+          {{"artifactLocation",
+            Json::object({{"uri", uri}, {"uriBaseId", "SRCROOT"}})}});
+      if (line > 0) physical.set("region", Json::object({{"startLine", line}}));
+      res.set("locations", Json::array({Json::object(
+                               {{"physicalLocation", std::move(physical)}})}));
     }
     if (d.suppressed) {
-      os << "          \"suppressions\": [\n"
-         << "            { \"kind\": \"inSource\", \"justification\": \""
-         << json_escape(d.suppress_reason) << "\" }\n"
-         << "          ],\n";
+      res.set("suppressions",
+              Json::array({Json::object(
+                  {{"kind", "inSource"},
+                   {"justification", d.suppress_reason}})}));
     }
-    os << "          \"partialFingerprints\": { \"tlpKey/v1\": \""
-       << json_escape(d.key()) << "\" },\n"
-       << "          \"properties\": {\n"
-       << "            \"system\": \"" << json_escape(d.system) << "\",\n"
-       << "            \"dataset\": \"" << json_escape(d.dataset) << "\",\n"
-       << "            \"kernel\": \"" << json_escape(d.kernel) << "\",\n"
-       << "            \"site\": \"" << json_escape(d.site) << "\",\n"
-       << "            \"metric\": " << d.metric << ",\n"
-       << "            \"count\": " << d.count << "\n"
-       << "          }\n"
-       << "        }" << (i + 1 < diags.size() ? "," : "") << '\n';
+    res.set("partialFingerprints", Json::object({{"tlpKey/v1", d.key()}}));
+    res.set("properties", Json::object({{"system", d.system},
+                                        {"dataset", d.dataset},
+                                        {"kernel", d.kernel},
+                                        {"site", d.site},
+                                        {"metric", d.metric},
+                                        {"count", d.count}}));
+    results.push_back(std::move(res));
   }
-  os << "      ]\n    }\n  ]\n}\n";
-  return os.str();
+
+  const Json driver = Json::object(
+      {{"name", "tlplint"},
+       {"version", "2.0.0"},
+       {"informationUri", "https://example.invalid/tlpgnn/tlpsan"},
+       {"rules", std::move(rules)}});
+  const Json run =
+      Json::object({{"tool", Json::object({{"driver", driver}})},
+                    {"results", std::move(results)}});
+  return Json::object(
+             {{"$schema", "https://json.schemastore.org/sarif-2.1.0.json"},
+              {"version", "2.1.0"},
+              {"runs", Json::array({run})}})
+      .dump();
 }
 
 std::vector<std::string> keys_from_json(const std::string& json) {
+  const Json doc = Json::parse(json);
   std::vector<std::string> keys;
-  const std::string needle = "\"key\"";
-  std::size_t pos = 0;
-  while ((pos = json.find(needle, pos)) != std::string::npos) {
-    pos += needle.size();
-    pos = json.find(':', pos);
-    if (pos == std::string::npos) break;
-    pos = json.find('"', pos);
-    if (pos == std::string::npos) break;
-    const std::size_t end = json.find('"', pos + 1);
-    if (end == std::string::npos) break;
-    keys.push_back(json.substr(pos + 1, end - pos - 1));
-    pos = end + 1;
-  }
+  for (const Json& d : doc.at("diagnostics").items())
+    keys.push_back(d.at("key").as_string());
   return keys;
 }
 

@@ -63,8 +63,9 @@ struct Diagnostic {
 /// Sorts by severity (errors first), then rule, system, kernel, site.
 void sort_diagnostics(std::vector<Diagnostic>& diags);
 
-/// Machine-readable report: a JSON array of diagnostic objects. `truncated`
-/// marks reports built from a capped trace (coverage incomplete).
+/// Machine-readable report (a report::Json document): tool, version,
+/// `trace_truncated` and the `diagnostics` array. `truncated` marks reports
+/// built from a capped trace (coverage incomplete).
 std::string to_json(const std::vector<Diagnostic>& diags,
                     bool truncated = false);
 
@@ -75,9 +76,10 @@ std::string to_json(const std::vector<Diagnostic>& diags,
 /// `suppressions` entry (kind "inSource") with the site's justification.
 std::string to_sarif(const std::vector<Diagnostic>& diags);
 
-/// Extracts the `key` fields from a JSON report produced by to_json (or a
-/// hand-maintained baseline holding only `key` fields). Tolerant scanner,
-/// not a full JSON parser; keys contain no escapes by construction.
+/// The `diagnostics[*].key` strings of a report produced by to_json (the
+/// `--baseline` file), read with report::Json::parse. Throws
+/// report::JsonError when the text does not parse (with its byte offset) or
+/// has no `diagnostics` array of objects carrying a string `key`.
 std::vector<std::string> keys_from_json(const std::string& json);
 
 /// The CI gate: diagnostics whose key is absent from `baseline_keys`,

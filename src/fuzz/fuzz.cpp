@@ -18,7 +18,7 @@
 
 namespace tlp::fuzz {
 
-using report::json_escape;
+using report::Json;
 
 namespace {
 
@@ -327,67 +327,58 @@ ExpectBugsReport run_expect_bugs(std::uint64_t minimize_evals, bool verbose) {
 }
 
 std::string report_to_json(const FuzzReport& r) {
-  std::ostringstream os;
-  os << "{\n";
-  os << "  \"tool\": \"tlpfuzz\",\n";
-  os << "  \"mode\": \"fuzz\",\n";
-  os << "  \"seed\": " << r.seed << ",\n";
-  os << "  \"iters_requested\": " << r.iters_requested << ",\n";
-  os << "  \"cases_run\": " << r.cases_run << ",\n";
-  os << "  \"oracle_checks\": " << r.oracle_checks << ",\n";
-  os << "  \"coverage_signatures\": " << r.coverage_signatures << ",\n";
-  os << "  \"corpus_size\": " << r.corpus_size << ",\n";
-  os << "  \"elapsed_s\": " << r.elapsed_s << ",\n";
-  os << "  \"failure_counts\": {";
-  bool first = true;
-  for (const auto& [name, count] : r.failure_counts) {
-    os << (first ? "" : ", ") << "\"" << json_escape(name) << "\": " << count;
-    first = false;
-  }
-  os << "},\n";
-  os << "  \"failures\": [";
-  first = true;
+  // Every count stays below 2^53, so the double-valued Json is exact; tlpfuzz
+  // bounds --seed there too.
+  const auto num = [](std::uint64_t v) {
+    return Json(static_cast<std::int64_t>(v));
+  };
+  Json counts = Json::object();
+  for (const auto& [name, count] : r.failure_counts)
+    counts.set(name, num(count));
+  Json failures = Json::array();
   for (const FailureRecord& f : r.failures) {
-    os << (first ? "\n" : ",\n");
-    first = false;
-    os << "    {\"case\": \"" << json_escape(f.spec.summary())
-       << "\", \"oracle\": \"" << json_escape(f.failure.oracle)
-       << "\", \"subject\": \"" << json_escape(f.failure.subject)
-       << "\", \"detail\": \"" << json_escape(f.failure.detail) << "\"";
+    Json o = Json::object({{"case", f.spec.summary()},
+                           {"oracle", f.failure.oracle},
+                           {"subject", f.failure.subject},
+                           {"detail", f.failure.detail}});
     if (!f.repro_file.empty()) {
-      os << ", \"repro\": \"" << json_escape(f.repro_file)
-         << "\", \"minimized_vertices\": " << f.minimized_vertices
-         << ", \"minimized_edges\": " << f.minimized_edges;
+      o.set("repro", f.repro_file);
+      o.set("minimized_vertices", f.minimized_vertices);
+      o.set("minimized_edges", f.minimized_edges);
     }
-    os << "}";
+    failures.push_back(std::move(o));
   }
-  os << (r.failures.empty() ? "" : "\n  ") << "],\n";
-  os << "  \"ok\": " << (r.ok() ? "true" : "false") << "\n";
-  os << "}\n";
-  return os.str();
+  return Json::object({{"tool", "tlpfuzz"},
+                       {"mode", "fuzz"},
+                       {"seed", num(r.seed)},
+                       {"iters_requested", num(r.iters_requested)},
+                       {"cases_run", num(r.cases_run)},
+                       {"oracle_checks", num(r.oracle_checks)},
+                       {"coverage_signatures", num(r.coverage_signatures)},
+                       {"corpus_size", num(r.corpus_size)},
+                       {"elapsed_s", r.elapsed_s},
+                       {"failure_counts", std::move(counts)},
+                       {"failures", std::move(failures)},
+                       {"ok", r.ok()}})
+      .dump();
 }
 
 std::string report_to_json(const ExpectBugsReport& r) {
-  std::ostringstream os;
-  os << "{\n";
-  os << "  \"tool\": \"tlpfuzz\",\n";
-  os << "  \"mode\": \"expect-bugs\",\n";
-  os << "  \"mutants\": [";
-  bool first = true;
+  Json mutants = Json::array();
   for (const auto& m : r.mutants) {
-    os << (first ? "\n" : ",\n");
-    first = false;
-    os << "    {\"name\": \"" << json_escape(m.name) << "\", \"caught\": "
-       << (m.caught ? "true" : "false") << ", \"caught_by\": \""
-       << json_escape(m.caught_by) << "\", \"detail\": \""
-       << json_escape(m.detail)
-       << "\", \"minimized_vertices\": " << m.minimized_vertices
-       << ", \"minimized_edges\": " << m.minimized_edges << "}";
+    mutants.push_back(
+        Json::object({{"name", m.name},
+                      {"caught", m.caught},
+                      {"caught_by", m.caught_by},
+                      {"detail", m.detail},
+                      {"minimized_vertices", m.minimized_vertices},
+                      {"minimized_edges", m.minimized_edges}}));
   }
-  os << (r.mutants.empty() ? "" : "\n  ") << "],\n";
-  os << "  \"all_caught\": " << (r.all_caught() ? "true" : "false") << "\n";
-  os << "}\n";
-  return os.str();
+  return Json::object({{"tool", "tlpfuzz"},
+                       {"mode", "expect-bugs"},
+                       {"mutants", std::move(mutants)},
+                       {"all_caught", r.all_caught()}})
+      .dump();
 }
 
 }  // namespace tlp::fuzz

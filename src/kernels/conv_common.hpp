@@ -91,14 +91,6 @@ tensor::Tensor download_features(sim::Device& dev, sim::DevPtr<float> p,
   return static_cast<int>((hi - lo + sim::kWarpSize - 1) / sim::kWarpSize);
 }
 
-[[nodiscard]] constexpr sim::Mask slice_chunk_mask(std::int64_t lo,
-                                                   std::int64_t hi, int c) {
-  const std::int64_t remaining =
-      hi - lo - static_cast<std::int64_t>(c) * sim::kWarpSize;
-  return sim::lanes_below(static_cast<int>(
-      remaining >= sim::kWarpSize ? sim::kWarpSize : remaining));
-}
-
 [[nodiscard]] constexpr std::int64_t slice_chunk_start(std::int64_t row,
                                                        std::int64_t f,
                                                        std::int64_t lo, int c) {
@@ -111,18 +103,6 @@ tensor::Tensor download_features(sim::Device& dev, sim::DevPtr<float> p,
       hi - lo - static_cast<std::int64_t>(c) * sim::kWarpSize;
   return static_cast<int>(remaining >= sim::kWarpSize ? sim::kWarpSize
                                                       : remaining);
-}
-
-[[nodiscard]] inline sim::WVec<std::int64_t> slice_chunk_idx(std::int64_t row,
-                                                             std::int64_t f,
-                                                             std::int64_t lo,
-                                                             int c) {
-  sim::WVec<std::int64_t> idx{};
-  const std::int64_t base =
-      row * f + lo + static_cast<std::int64_t>(c) * sim::kWarpSize;
-  for (int l = 0; l < sim::kWarpSize; ++l)
-    idx[static_cast<std::size_t>(l)] = base + l;
-  return idx;
 }
 
 /// The non-GAT slice of a ConvSpec (GCN/GIN/Sage all fit one gather kernel).

@@ -20,6 +20,13 @@ const char* model_name(ModelKind kind) {
   return "?";
 }
 
+ModelKind model_from_name(const std::string& name) {
+  for (const ModelKind k : kAllModels)
+    if (name == model_name(k)) return k;
+  TLP_CHECK_MSG(false, "unknown model '" << name << "' (GCN/GIN/Sage/GAT)");
+  return ModelKind::kGcn;
+}
+
 ConvSpec ConvSpec::make(ModelKind kind, std::int64_t feature_size, Rng& rng,
                         int heads) {
   ConvSpec spec;

@@ -32,6 +32,8 @@ inline constexpr ModelKind kAllModels[] = {ModelKind::kGcn, ModelKind::kGin,
                                            ModelKind::kSage, ModelKind::kGat};
 
 const char* model_name(ModelKind kind);
+/// Inverse of model_name; a name outside it is a CheckError.
+ModelKind model_from_name(const std::string& name);
 
 /// Learned attention parameters for GAT.
 struct GatParams {

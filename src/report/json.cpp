@@ -15,15 +15,17 @@ namespace {
 
 }  // namespace
 
-Json Json::array() {
+Json Json::array(std::initializer_list<Json> items) {
   Json j;
   j.kind_ = Kind::kArray;
+  j.arr_.assign(items.begin(), items.end());
   return j;
 }
 
-Json Json::object() {
+Json Json::object(std::initializer_list<JsonMember> members) {
   Json j;
   j.kind_ = Kind::kObject;
+  for (const auto& [key, value] : members) j.set(key, value);
   return j;
 }
 
@@ -127,9 +129,12 @@ std::string json_number(double d) {
   return s;
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
+namespace {
+
+/// `s` between quotes, escaped: quotes, backslashes and every control byte
+/// (`\n`, `\t`, `\r`, else `\u00XX`), so Json::parse returns `s` unchanged.
+void escape_to(const std::string& s, std::string& out) {
+  out.push_back('"');
   for (const char c : s) {
     switch (c) {
       case '"': out += "\\\""; break;
@@ -147,14 +152,6 @@ std::string json_escape(const std::string& s) {
         }
     }
   }
-  return out;
-}
-
-namespace {
-
-void escape_to(const std::string& s, std::string& out) {
-  out.push_back('"');
-  out += json_escape(s);
   out.push_back('"');
 }
 

@@ -1,4 +1,5 @@
-// Minimal JSON value type used by the tlpbench reporting pipeline.
+// Minimal JSON value type: the repo's one JSON writer and reader (tlpbench
+// and tlpserve records, tlplint JSON/SARIF and its baseline, tlpfuzz reports).
 //
 // Design constraints (DESIGN.md §9):
 //   - objects preserve insertion order, so serialization is deterministic and
@@ -9,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <utility>
@@ -42,8 +44,9 @@ class Json {
       : kind_(Kind::kString), str_(std::move(s)) {}
   Json(const char* s) : kind_(Kind::kString), str_(s) {}   // NOLINT(google-explicit-constructor)
 
-  static Json array();
-  static Json object();
+  static Json array(std::initializer_list<Json> items = {});
+  /// Members in the listed order, as if by successive `set` calls.
+  static Json object(std::initializer_list<JsonMember> members = {});
 
   [[nodiscard]] Kind kind() const { return kind_; }
   [[nodiscard]] bool is_null() const { return kind_ == Kind::kNull; }
@@ -100,10 +103,5 @@ class Json {
 
 /// Shortest round-trip decimal form of `d` ("1.5", "42", "0.1").
 std::string json_number(double d);
-
-/// `s` escaped for use between the quotes of a JSON string: quotes,
-/// backslashes and every control byte (`\n`, `\t`, `\r`, else `\u00XX`),
-/// so Json::parse returns `s` unchanged.
-std::string json_escape(const std::string& s);
 
 }  // namespace tlp::report

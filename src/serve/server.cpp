@@ -461,4 +461,21 @@ report::Json SloReport::to_json() const {
   return j;
 }
 
+ServedComparison compare_served(const std::vector<Response>& a,
+                                const std::vector<Response>& b) {
+  TLP_CHECK(a.size() == b.size());
+  ServedComparison cmp;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (!a[i].served() || !b[i].served()) continue;
+    ++cmp.served_in_both;
+    const std::vector<float>& x = a[i].output;
+    const std::vector<float>& y = b[i].output;
+    if (x.size() != y.size() ||
+        std::memcmp(x.data(), y.data(), x.size() * sizeof(float)) != 0) {
+      cmp.mismatched.push_back(a[i].id);
+    }
+  }
+  return cmp;
+}
+
 }  // namespace tlp::serve

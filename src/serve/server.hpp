@@ -116,6 +116,16 @@ struct ServeResult {
   SloReport report;
 };
 
+/// Served-response bit identity between two runs of the same traffic. A
+/// storm or a cache may change *which* requests get served, never *what* a
+/// served request receives.
+struct ServedComparison {
+  std::int64_t served_in_both = 0;
+  std::vector<std::int64_t> mismatched;  ///< ids whose outputs differ bitwise
+};
+[[nodiscard]] ServedComparison compare_served(const std::vector<Response>& a,
+                                              const std::vector<Response>& b);
+
 class Server {
  public:
   /// `cache` (optional, not owned, must outlive the server) activates the

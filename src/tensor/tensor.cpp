@@ -22,13 +22,19 @@ double max_abs_diff(const Tensor& a, const Tensor& b) {
   return worst;
 }
 
+bool element_close(float x, float ref, double rtol, double atol) {
+  if (!std::isfinite(x) || !std::isfinite(ref))
+    return x == ref || (std::isnan(x) && std::isnan(ref));
+  return std::abs(static_cast<double>(x) - ref) <=
+         atol + rtol * std::abs(static_cast<double>(ref));
+}
+
 bool allclose(const Tensor& a, const Tensor& ref, double rtol, double atol) {
   if (a.rows() != ref.rows() || a.cols() != ref.cols()) return false;
   const auto fa = a.flat();
   const auto fr = ref.flat();
   for (std::size_t i = 0; i < fa.size(); ++i) {
-    const double diff = std::abs(static_cast<double>(fa[i]) - fr[i]);
-    if (diff > atol + rtol * std::abs(static_cast<double>(fr[i]))) return false;
+    if (!element_close(fa[i], fr[i], rtol, atol)) return false;
   }
   return true;
 }

@@ -61,7 +61,12 @@ class Tensor {
 /// Max absolute elementwise difference; tensors must have equal shape.
 double max_abs_diff(const Tensor& a, const Tensor& b);
 
-/// True if shapes match and elements agree within atol + rtol*|ref|.
+/// One element against its reference: finite values agree within
+/// atol + rtol*|ref|; a non-finite value matches only the same non-finite
+/// value (NaN matches NaN, inf matches inf of the same sign).
+bool element_close(float x, float ref, double rtol, double atol);
+
+/// True if shapes match and every element is element_close to `ref`'s.
 bool allclose(const Tensor& a, const Tensor& ref, double rtol = 1e-4,
               double atol = 1e-5);
 

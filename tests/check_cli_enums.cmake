@@ -63,3 +63,33 @@ if(NOT err3 MATCHES "cache-policy" OR NOT err3 MATCHES "valid:.*presample")
           "tlpserve bad --cache-policy: diagnostic must name the flag and "
           "the valid set, got: ${err3}")
 endif()
+
+# Case 4: tlpgnn_cli --model, read through the same checked getter.
+execute_process(
+  COMMAND "${TLPGNN_CLI}" run --max-edges 2000 --model gcn2
+  RESULT_VARIABLE rc4
+  ERROR_VARIABLE err4
+  OUTPUT_QUIET)
+if(NOT rc4 EQUAL 2)
+  message(FATAL_ERROR "tlpgnn_cli bad --model: expected exit 2, got ${rc4}")
+endif()
+if(NOT err4 MATCHES "--model" OR NOT err4 MATCHES "valid:.*GAT")
+  message(FATAL_ERROR
+          "tlpgnn_cli bad --model: diagnostic must name the flag and the "
+          "valid set, got: ${err4}")
+endif()
+
+# Case 5: tlpserve --arrival.
+execute_process(
+  COMMAND "${TLPSERVE}" --max-edges 2000 --requests 4 --arrival uniform
+  RESULT_VARIABLE rc5
+  ERROR_VARIABLE err5
+  OUTPUT_QUIET)
+if(NOT rc5 EQUAL 2)
+  message(FATAL_ERROR "tlpserve bad --arrival: expected exit 2, got ${rc5}")
+endif()
+if(NOT err5 MATCHES "--arrival" OR NOT err5 MATCHES "valid:.*bursty")
+  message(FATAL_ERROR
+          "tlpserve bad --arrival: diagnostic must name the flag and the "
+          "valid set, got: ${err5}")
+endif()

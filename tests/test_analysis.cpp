@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <functional>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -23,6 +24,7 @@
 #include "analysis/passes.hpp"
 #include "analysis/shadow.hpp"
 #include "graph/generators.hpp"
+#include "report/json.hpp"
 #include "sim/device.hpp"
 
 namespace tlp::analysis {
@@ -441,11 +443,17 @@ TEST(Baseline, RoundTripAndNewDetection) {
     d.dataset = "unit";
   }
   ASSERT_FALSE(diags.empty());
+  // A site label with JSON metacharacters must come back unchanged.
+  Diagnostic quoted = diags.front();
+  quoted.site = "a\"b\\c";
+  diags.push_back(quoted);
 
   // Serialize, re-extract the keys, and compare: nothing is new.
   const std::string json = to_json(diags);
   const std::vector<std::string> keys = keys_from_json(json);
-  EXPECT_EQ(keys.size(), diags.size());
+  ASSERT_EQ(keys.size(), diags.size());
+  for (std::size_t i = 0; i < diags.size(); ++i)
+    EXPECT_EQ(keys[i], diags[i].key());
   EXPECT_TRUE(new_versus_baseline(diags, keys).empty());
 
   // Against an empty baseline every unsuppressed finding is new.
@@ -755,37 +763,57 @@ TEST(Sarif, EmitsSarif210Shape) {
   }
   ASSERT_GE(diags.size(), 2u);
 
-  const std::string sarif = to_sarif(diags);
-  const auto has = [&](const char* needle) {
-    return sarif.find(needle) != std::string::npos;
-  };
+  const report::Json doc = report::Json::parse(to_sarif(diags));
   // Top-level 2.1.0 envelope.
-  EXPECT_TRUE(has("\"$schema\": \"https://json.schemastore.org/"
-                  "sarif-2.1.0.json\""));
-  EXPECT_TRUE(has("\"version\": \"2.1.0\""));
-  EXPECT_TRUE(has("\"runs\""));
-  // tool.driver with a populated rules table.
-  EXPECT_TRUE(has("\"driver\""));
-  EXPECT_TRUE(has("\"name\": \"tlplint\""));
-  EXPECT_TRUE(has("\"id\": \"TLP-COAL-002\""));
-  // Results: ruleId/level/message plus a physical location anchored to the
-  // source root.
-  EXPECT_TRUE(has("\"ruleId\": \"TLP-COAL-002\""));
-  EXPECT_TRUE(has("\"level\": \"warning\""));
-  EXPECT_TRUE(has("\"uriBaseId\": \"SRCROOT\""));
-  EXPECT_TRUE(has("\"startLine\""));
-  // The suppressed finding carries an inSource suppression with its
-  // justification; every result carries the stable fingerprint.
-  EXPECT_TRUE(has("\"suppressions\""));
-  EXPECT_TRUE(has("\"kind\": \"inSource\""));
-  EXPECT_TRUE(has("stride is the point"));
-  EXPECT_TRUE(has("\"partialFingerprints\""));
-  EXPECT_TRUE(has("\"tlpKey/v1\""));
-  // Structural sanity: braces and brackets balance.
-  EXPECT_EQ(std::count(sarif.begin(), sarif.end(), '{'),
-            std::count(sarif.begin(), sarif.end(), '}'));
-  EXPECT_EQ(std::count(sarif.begin(), sarif.end(), '['),
-            std::count(sarif.begin(), sarif.end(), ']'));
+  EXPECT_EQ(doc.at("$schema").as_string(),
+            "https://json.schemastore.org/sarif-2.1.0.json");
+  EXPECT_EQ(doc.at("version").as_string(), "2.1.0");
+  ASSERT_EQ(doc.at("runs").items().size(), 1u);
+  const report::Json& run = doc.at("runs").items()[0];
+  // tool.driver with one rules entry per distinct rule id.
+  const report::Json& driver = run.at("tool").at("driver");
+  EXPECT_EQ(driver.at("name").as_string(), "tlplint");
+  std::set<std::string> rule_ids;
+  for (const Diagnostic& d : diags) rule_ids.insert(d.rule);
+  std::set<std::string> table_ids;
+  for (const report::Json& r : driver.at("rules").items()) {
+    table_ids.insert(r.at("id").as_string());
+    EXPECT_FALSE(r.at("shortDescription").at("text").as_string().empty());
+  }
+  EXPECT_EQ(table_ids, rule_ids);
+  EXPECT_TRUE(rule_ids.count(kRuleCoalesce) != 0);
+  // One result per diagnostic, in order: ruleId/level/message, the stable
+  // fingerprint, and a physical location anchored to the source root.
+  const std::vector<report::Json>& results = run.at("results").items();
+  ASSERT_EQ(results.size(), diags.size());
+  int suppressed = 0;
+  for (std::size_t i = 0; i < diags.size(); ++i) {
+    const report::Json& res = results[i];
+    EXPECT_EQ(res.at("ruleId").as_string(), diags[i].rule);
+    EXPECT_EQ(res.at("level").as_string(), severity_name(diags[i].severity));
+    EXPECT_EQ(res.at("message").at("text").as_string(), diags[i].message);
+    EXPECT_EQ(res.at("partialFingerprints").at("tlpKey/v1").as_string(),
+              diags[i].key());
+    if (!diags[i].location.empty()) {
+      const report::Json& loc =
+          res.at("locations").items().at(0).at("physicalLocation");
+      EXPECT_EQ(loc.at("artifactLocation").at("uriBaseId").as_string(),
+                "SRCROOT");
+      EXPECT_GT(loc.at("region").at("startLine").as_int(), 0);
+    }
+    // The suppressed finding carries an inSource suppression with its
+    // justification.
+    const report::Json* suppressions = res.find("suppressions");
+    EXPECT_EQ(suppressions != nullptr, diags[i].suppressed);
+    if (suppressions != nullptr) {
+      ++suppressed;
+      const report::Json& s0 = suppressions->items().at(0);
+      EXPECT_EQ(s0.at("kind").as_string(), "inSource");
+      EXPECT_NE(s0.at("justification").as_string().find("stride is the point"),
+                std::string::npos);
+    }
+  }
+  EXPECT_GE(suppressed, 1);
 }
 
 TEST(Analyzer, EdgeBaselineUncoalescedIsSuppressedNotDropped) {

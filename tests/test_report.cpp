@@ -60,9 +60,21 @@ TEST(Json, StringEscapesRoundTrip) {
   Json doc = Json::object();
   doc.set("s", s);
   EXPECT_EQ(Json::parse(doc.dump()).at("s").as_string(), s);
-  EXPECT_EQ(Json::parse("\"" + json_escape(s) + "\"").as_string(), s);
-  EXPECT_EQ(json_escape("cr\rhere"), "cr\\rhere");
-  EXPECT_EQ(json_escape("soh\x01" "here"), "soh\\u0001here");
+  EXPECT_EQ(Json::parse(Json(s).dump()).as_string(), s);
+  EXPECT_EQ(Json("cr\rhere").dump(), "\"cr\\rhere\"\n");
+  EXPECT_EQ(Json("soh\x01" "here").dump(), "\"soh\\u0001here\"\n");
+}
+
+TEST(Json, ListBuildersMatchSuccessiveInserts) {
+  Json arr = Json::array();
+  arr.push_back("x");
+  arr.push_back(false);
+  Json by_set = Json::object();
+  by_set.set("b", 1);
+  by_set.set("a", arr);
+  EXPECT_EQ(Json::object({{"b", 1}, {"a", Json::array({"x", false})}}).dump(),
+            by_set.dump());
+  EXPECT_EQ(Json::object().dump(), "{}\n");
 }
 
 TEST(Json, UnicodeEscapeNeedsFourHexDigits) {

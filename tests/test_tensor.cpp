@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "common/rng.hpp"
 #include "tensor/dense_ops.hpp"
@@ -33,6 +34,24 @@ TEST(Tensor, MaxAbsDiffAndAllclose) {
   EXPECT_TRUE(allclose(a, b, 1e-3, 1e-5));
   EXPECT_FALSE(allclose(a, b, 1e-6, 1e-7));
   EXPECT_FALSE(allclose(a, Tensor(2, 3)));
+}
+
+TEST(Tensor, AllcloseMatchesNonFiniteOnlyToItself) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const auto one = [](float v) {
+    Tensor t(1, 1);
+    t.at(0, 0) = v;
+    return t;
+  };
+  EXPECT_FALSE(allclose(one(nan), one(1.0f)));
+  EXPECT_FALSE(allclose(one(1.0f), one(nan)));
+  EXPECT_FALSE(allclose(one(inf), one(1.0f)));
+  EXPECT_FALSE(allclose(one(1.0f), one(inf)));
+  EXPECT_FALSE(allclose(one(inf), one(-inf)));
+  EXPECT_TRUE(allclose(one(nan), one(nan)));
+  EXPECT_TRUE(allclose(one(inf), one(inf)));
+  EXPECT_TRUE(allclose(one(-inf), one(-inf)));
 }
 
 TEST(DenseOps, MatmulAgainstHandComputed) {

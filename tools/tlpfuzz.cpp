@@ -57,16 +57,19 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  tlp::fuzz::FuzzOptions opts;
-  opts.seed = static_cast<std::uint64_t>(
-      args.get_int_checked("seed", 42, 0));
-  opts.iters = static_cast<std::uint64_t>(
-      args.get_int_checked("iters", 500, 0, 100'000'000));
-  opts.time_budget_s = args.get_double_checked("time-budget", 0.0, 0.0, 1e9);
-  opts.repro_dir = args.get("repro-dir", "");
-  opts.verbose = args.has("verbose");
-
   try {
+    tlp::fuzz::FuzzOptions opts;
+    // The report stores the seed as a JSON number (a double): bound it where
+    // every integer is exact.
+    opts.seed = static_cast<std::uint64_t>(
+        args.get_int_checked("seed", 42, 0, (std::int64_t{1} << 53) - 1));
+    opts.iters = static_cast<std::uint64_t>(
+        args.get_int_checked("iters", 500, 0, 100'000'000));
+    opts.time_budget_s =
+        args.get_double_checked("time-budget", 0.0, 0.0, 1e9);
+    opts.repro_dir = args.get("repro-dir", "");
+    opts.verbose = args.has("verbose");
+
     if (args.has("expect-bugs")) {
       const tlp::fuzz::ExpectBugsReport rep =
           tlp::fuzz::run_expect_bugs(2000, opts.verbose);

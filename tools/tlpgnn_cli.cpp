@@ -83,14 +83,6 @@ graph::Csr load_graph(const Args& args) {
                args.get_int_checked("seed", 42, 0))});
 }
 
-models::ModelKind parse_model(const Args& args) {
-  const std::string name = args.get("model", "GCN");
-  for (const auto k : models::kAllModels)
-    if (name == models::model_name(k)) return k;
-  TLP_CHECK_MSG(false, "unknown model '" << name << "' (GCN/GIN/Sage/GAT)");
-  __builtin_unreachable();
-}
-
 sim::DeviceOptions device_options(const Args& args) {
   sim::DeviceOptions opts;
   if (args.get_bool("memcheck", false))
@@ -111,7 +103,8 @@ sim::DeviceOptions device_options(const Args& args) {
 
 int cmd_run(const Args& args) {
   const graph::Csr g = load_graph(args);
-  const models::ModelKind kind = parse_model(args);
+  const models::ModelKind kind = models::model_from_name(
+      args.get_choice("model", "GCN", {"GCN", "GIN", "Sage", "GAT"}));
   const std::int64_t f = args.get_int_checked("feature", 32, 1, 1 << 16);
   const int heads = static_cast<int>(args.get_int_checked("heads", 1, 1, 64));
   const std::string sysname = args.get("system", "tlpgnn");

@@ -25,7 +25,8 @@
 // — incomplete coverage) failing in either mode. See README.md ("Linting the
 // kernels") for the workflow. Exit codes: 0 clean, 1 gating findings or a
 // runtime failure (tlp::CheckError), 2 a usage error (unknown flag, unknown
-// --systems name, bad --fail-on value, unreadable --baseline file).
+// --systems name, bad --fail-on value, a --baseline file that cannot be read
+// or is not a tlplint JSON report).
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
@@ -39,6 +40,7 @@
 #include "common/check.hpp"
 #include "common/cli.hpp"
 #include "common/table.hpp"
+#include "report/json.hpp"
 
 namespace {
 
@@ -55,15 +57,21 @@ std::vector<std::string> split_csv(const std::string& s) {
   return out;
 }
 
-std::string read_file(const std::string& path) {
+/// The `key` list of the --baseline report. A file that cannot be read, does
+/// not parse, or has no `diagnostics` array is a usage error naming the file
+/// (and the byte offset of a parse error).
+std::vector<std::string> read_baseline(const std::string& path) {
   std::ifstream in(path);
-  if (!in) {
-    std::cerr << "tlplint: cannot read " << path << "\n";
-    std::exit(2);
-  }
+  if (!in) throw tlp::UsageError("flag --baseline: cannot read " + path);
   std::stringstream ss;
   ss << in.rdbuf();
-  return ss.str();
+  try {
+    return tlp::analysis::keys_from_json(ss.str());
+  } catch (const tlp::report::JsonError& e) {
+    throw tlp::UsageError(
+        "flag --baseline: " + path + ": " + e.message +
+        (e.offset >= 0 ? " at byte " + std::to_string(e.offset) : ""));
+  }
 }
 
 void write_file(const std::string& path, const std::string& content) {
@@ -163,6 +171,9 @@ int run(const tlp::Args& args) {
       << 20;
   const Severity fail_on = parse_fail_on(args);
   const bool strict = args.get_bool("strict", false);
+  const std::vector<std::string> baseline_keys =
+      args.has("baseline") ? read_baseline(args.get("baseline", ""))
+                           : std::vector<std::string>{};
 
   std::cerr << "tlplint: analyzing " << systems.size() << " systems x "
             << datasets.size() << " datasets"
@@ -223,8 +234,6 @@ int run(const tlp::Args& args) {
   }
 
   if (args.has("baseline")) {
-    const std::vector<std::string> baseline_keys =
-        tlp::analysis::keys_from_json(read_file(args.get("baseline", "")));
     const std::vector<Diagnostic> fresh =
         tlp::analysis::new_versus_baseline(report.diagnostics, baseline_keys);
     if (!fresh.empty()) {

@@ -36,7 +36,6 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <optional>
 #include <string>
@@ -82,26 +81,13 @@ graph::Csr load_graph(const Args& args) {
                args.get_int_checked("seed", 42, 0, kSeqMax))});
 }
 
-models::ModelKind parse_model(const Args& args) {
-  const std::string name = args.get("model", "GCN");
-  for (const auto k : models::kAllModels)
-    if (name == models::model_name(k)) return k;
-  TLP_CHECK_MSG(false, "unknown model '" << name << "' (GCN/GIN/Sage/GAT)");
-  __builtin_unreachable();
-}
-
 serve::TrafficOptions traffic_options(const Args& args) {
   serve::TrafficOptions t;
   t.num_requests = args.get_int_checked("requests", 256, 0, 1'000'000);
-  const std::string arrival = args.get("arrival", "poisson");
-  if (arrival == "poisson") {
-    t.arrival = serve::ArrivalProcess::kPoisson;
-  } else if (arrival == "bursty") {
-    t.arrival = serve::ArrivalProcess::kBursty;
-  } else {
-    TLP_CHECK_MSG(false,
-                  "unknown --arrival '" << arrival << "' (poisson|bursty)");
-  }
+  const std::string arrival =
+      args.get_choice("arrival", "poisson", {"poisson", "bursty"});
+  t.arrival = arrival == "poisson" ? serve::ArrivalProcess::kPoisson
+                                   : serve::ArrivalProcess::kBursty;
   t.mean_interarrival_ms =
       args.get_double_checked("mean-gap-ms", 1.0, 1e-6, 1e9);
   t.burst_len = args.get_int_checked("burst-len", 32, 1, 1'000'000);
@@ -245,26 +231,18 @@ std::string outcome_sequence(const std::vector<serve::Response>& responses) {
 /// requests get served, never *what* a served request receives.
 int verify_against_fault_free(const std::vector<serve::Response>& storm,
                               const std::vector<serve::Response>& clean) {
-  std::int64_t compared = 0;
-  std::int64_t mismatched = 0;
-  for (std::size_t i = 0; i < storm.size(); ++i) {
-    if (!storm[i].served() || !clean[i].served()) continue;
-    ++compared;
-    const auto& a = storm[i].output;
-    const auto& b = clean[i].output;
-    if (a.size() != b.size() ||
-        std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) != 0) {
-      ++mismatched;
-      std::fprintf(stderr, "verify: req %lld output differs (%s vs %s)\n",
-                   static_cast<long long>(storm[i].id),
-                   serve::outcome_name(storm[i].outcome),
-                   serve::outcome_name(clean[i].outcome));
-    }
+  const serve::ServedComparison cmp = serve::compare_served(storm, clean);
+  for (const std::int64_t id : cmp.mismatched) {
+    const auto i = static_cast<std::size_t>(id);
+    std::fprintf(stderr, "verify: req %lld output differs (%s vs %s)\n",
+                 static_cast<long long>(id),
+                 serve::outcome_name(storm[i].outcome),
+                 serve::outcome_name(clean[i].outcome));
   }
-  std::printf("verify: %lld served in both runs, %lld bitwise mismatches\n",
-              static_cast<long long>(compared),
-              static_cast<long long>(mismatched));
-  return mismatched == 0 ? 0 : 1;
+  std::printf("verify: %lld served in both runs, %zu bitwise mismatches\n",
+              static_cast<long long>(cmp.served_in_both),
+              cmp.mismatched.size());
+  return cmp.mismatched.empty() ? 0 : 1;
 }
 
 void print_usage(std::FILE* to) {
@@ -276,7 +254,8 @@ void print_usage(std::FILE* to) {
 
 int run(const Args& args) {
   const graph::Csr g = load_graph(args);
-  const models::ModelKind kind = parse_model(args);
+  const models::ModelKind kind = models::model_from_name(
+      args.get_choice("model", "GCN", {"GCN", "GIN", "Sage", "GAT"}));
   const std::int64_t f = args.get_int_checked("feature", 32, 1, 1 << 16);
   const int heads = static_cast<int>(args.get_int_checked("heads", 1, 1, 64));
   const bool quiet = args.get_bool("quiet", false);
