@@ -6,25 +6,20 @@
 //   (c) GPU generation sensitivity — the same kernels on machine specs with
 //       different SM counts and bandwidth.
 #include "bench_common.hpp"
-#include "kernels/conv_common.hpp"
-#include "kernels/gather_pull.hpp"
 #include "suite.hpp"
+#include "systems/strategies.hpp"
 
 using namespace tlp;
 using bench::BenchConfig;
-using models::ModelKind;
 
 namespace {
 
+/// GPU time of TLPGNN's GCN pull kernel under `cfg`.
 double run_once(const graph::Csr& g, const tensor::Tensor& feat,
                 const sim::GpuSpec& gpu, const sim::LaunchConfig& cfg) {
   sim::Device dev(gpu);
-  const kernels::DeviceGraph dg = kernels::upload_graph(dev, g);
-  const auto dfeat = kernels::upload_features(dev, feat);
-  auto dout = dev.alloc_zeroed<float>(dg.n * feat.cols());
-  kernels::GatherPullKernel k(dg, dfeat, dout, feat.cols(),
-                              {ModelKind::kGcn, 0.0f});
-  dev.launch(k, cfg);
+  const models::ConvSpec gcn;  // kind defaults to GCN
+  (void)systems::run_pull(dev, g, feat, gcn, cfg);
   return dev.gpu_time_ms();
 }
 

@@ -27,7 +27,7 @@ std::vector<LintDataset> default_lint_datasets() {
 }
 
 std::vector<std::string> lint_system_names() {
-  return {"tlpgnn", "dgl", "gnnadvisor", "featgraph", "push", "edge", "pull"};
+  return systems::system_names();
 }
 
 sim::GpuSpec lint_gpu_spec() { return sim::GpuSpec::v100_scaled(16); }

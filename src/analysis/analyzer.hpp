@@ -26,7 +26,7 @@ struct LintDataset {
 /// exercise divergence). Both deterministic.
 std::vector<LintDataset> default_lint_datasets();
 
-/// Every registered system name, lint order (paper's baselines + TLPGNN).
+/// Every registered system name: systems::system_names(), in its order.
 std::vector<std::string> lint_system_names();
 
 /// The GPU replica the lint drivers simulate on: the 1/16 scaled V100 of the

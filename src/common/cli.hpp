@@ -66,9 +66,10 @@ class Args {
     return positional_;
   }
 
-  /// Names of all --flags that were passed, sorted. Lets binaries reject
-  /// unknown flags instead of silently ignoring typos.
-  [[nodiscard]] std::vector<std::string> named_keys() const;
+  /// Throws tlp::UsageError("unknown flag --<name>") for the first passed
+  /// --flag (in sorted order) that is not in `known`, so a binary rejects a
+  /// typo instead of silently ignoring it.
+  void reject_unknown(const std::vector<std::string>& known) const;
 
  private:
   std::map<std::string, std::string> named_;

@@ -3,14 +3,11 @@
 #include <array>
 
 #include "common/check.hpp"
-#include "kernels/apply_vertex.hpp"
 #include "kernels/conv_common.hpp"
 #include "kernels/edge_centric.hpp"
-#include "kernels/fused_gat.hpp"
-#include "kernels/gather_pull.hpp"
-#include "kernels/push_atomic.hpp"
 #include "kernels/spmm.hpp"
 #include "kernels/subwarp_pull.hpp"
+#include "systems/strategies.hpp"
 
 namespace tlp::fuzz {
 
@@ -21,6 +18,7 @@ using models::ConvSpec;
 using models::ModelKind;
 using sim::Device;
 using sim::LaunchConfig;
+using systems::PullBuffers;
 using tensor::Tensor;
 
 namespace {
@@ -33,41 +31,10 @@ bool simple_unweighted(const ConvSpec& spec) {
   return simple_conv(spec) && !spec.has_edge_weights();
 }
 
-/// Shared device setup: uploaded pull graph, features, and a zeroed output.
-struct Uploaded {
-  DeviceGraph dg;
-  sim::DevPtr<float> dfeat;
-  sim::DevPtr<float> dout;
-  std::int64_t f = 0;
-
-  Uploaded(Device& dev, const Csr& g, const Tensor& h) : f(h.cols()) {
-    dev.reset_all();
-    dg = kernels::upload_graph(dev, g);
-    dfeat = kernels::upload_features(dev, h);
-    dout = dev.alloc_zeroed<float>(dg.n * f);
-  }
-
-  [[nodiscard]] Tensor download(Device& dev) const {
-    return kernels::download_features(dev, dout, dg.n, f);
-  }
-};
-
-Tensor run_gather_pull(Device& dev, const Csr& g, const Tensor& h,
-                       const ConvSpec& spec, const LaunchConfig& cfg,
-                       bool cache) {
-  Uploaded up(dev, g, h);
-  sim::DevPtr<float> dew{};
-  if (spec.has_edge_weights()) dew = dev.upload<float>(spec.edge_weights);
-  kernels::GatherPullKernel k(up.dg, up.dfeat, up.dout, up.f,
-                              {spec.kind, spec.gin_eps}, cache, dew);
-  dev.launch(k, cfg);
-  return up.download(dev);
-}
-
 Tensor run_subwarp(Device& dev, const Csr& g, const Tensor& h,
                    const ConvSpec& spec, const LaunchConfig& cfg, int lpv) {
-  Uploaded up(dev, g, h);
-  kernels::SubwarpPullKernel k(up.dg, up.dfeat, up.dout, up.f,
+  const PullBuffers up = systems::upload_pull(dev, g, h);
+  kernels::SubwarpPullKernel k(up.dg, up.feat, up.out, up.f,
                                {spec.kind, spec.gin_eps}, lpv);
   dev.launch(k, cfg);
   return up.download(dev);
@@ -75,110 +42,29 @@ Tensor run_subwarp(Device& dev, const Csr& g, const Tensor& h,
 
 Tensor run_spmm_pipeline(Device& dev, const Csr& g, const Tensor& h,
                          const ConvSpec& spec, const LaunchConfig& cfg) {
-  Uploaded up(dev, g, h);
-  switch (spec.kind) {
-    case ModelKind::kGcn: {
-      kernels::SpmmKernel agg(up.dg, up.dfeat, up.dout, up.f,
-                              kernels::SpmmKernel::Weighting::kGcnNormPair);
-      dev.launch(agg, cfg);
-      kernels::AddScaledSelfKernel self(
-          up.dfeat, up.dout, up.f,
-          kernels::AddScaledSelfKernel::Mode::kNormSquared, up.dg);
-      dev.launch(self, cfg);
-      break;
-    }
-    case ModelKind::kGin: {
-      kernels::SpmmKernel agg(up.dg, up.dfeat, up.dout, up.f,
-                              kernels::SpmmKernel::Weighting::kSum);
-      dev.launch(agg, cfg);
-      kernels::AddScaledSelfKernel self(
-          up.dfeat, up.dout, up.f, kernels::AddScaledSelfKernel::Mode::kConst,
-          up.dg, 1.0f + spec.gin_eps);
-      dev.launch(self, cfg);
-      break;
-    }
-    case ModelKind::kSage: {
-      kernels::SpmmKernel agg(up.dg, up.dfeat, up.dout, up.f,
-                              kernels::SpmmKernel::Weighting::kMean);
-      dev.launch(agg, cfg);
-      break;
-    }
-    case ModelKind::kGat:
-      TLP_CHECK(false);
-  }
+  TLP_CHECK(simple_conv(spec));
+  const PullBuffers up = systems::upload_pull(dev, g, h);
+  using Weighting = kernels::SpmmKernel::Weighting;
+  const Weighting w = spec.kind == ModelKind::kGcn   ? Weighting::kGcnNormPair
+                      : spec.kind == ModelKind::kGin ? Weighting::kSum
+                                                     : Weighting::kMean;
+  kernels::SpmmKernel agg(up.dg, up.feat, up.out, up.f, w);
+  dev.launch(agg, cfg);
+  // kMean already divides by the degree: Sage needs no rescale.
+  if (spec.kind != ModelKind::kSage)
+    systems::launch_epilogue(dev, up.dg, up.feat, up.out, up.f, spec, cfg);
   return up.download(dev);
-}
-
-Tensor run_push(Device& dev, const Csr& g, const Tensor& h,
-                const ConvSpec& spec, const LaunchConfig& cfg) {
-  dev.reset_all();
-  const std::int64_t f = h.cols();
-  // Push walks the out-CSR but GCN weights come from in-degree norms.
-  const std::vector<float> pull_norm = models::gcn_norm(g);
-  const Csr out_csr = g.reversed();
-  const DeviceGraph dg_out = kernels::upload_graph(dev, out_csr, &pull_norm);
-  const DeviceGraph dg_pull = kernels::upload_graph(dev, g);
-  const sim::DevPtr<float> dfeat = kernels::upload_features(dev, h);
-  sim::DevPtr<float> dout = dev.alloc_zeroed<float>(dg_out.n * f);
-  {
-    kernels::FillRowsKernel fill(dout, dg_out.n, f, 0.0f);
-    dev.launch(fill, cfg);
-  }
-  kernels::PushKernel push(dg_out, dfeat, dout, f, {spec.kind, spec.gin_eps});
-  dev.launch(push, cfg);
-  if (spec.kind == ModelKind::kSage) {
-    kernels::RowScaleKernel rescale(dout, dout, f,
-                                    kernels::RowScaleKernel::Mode::kByInvDegree,
-                                    dg_pull, {});
-    dev.launch(rescale, cfg);
-  }
-  return kernels::download_features(dev, dout, dg_out.n, f);
 }
 
 Tensor run_edge_centric(Device& dev, const Csr& g, const Tensor& h,
                         const ConvSpec& spec, const LaunchConfig& cfg) {
-  Uploaded up(dev, g, h);
+  TLP_CHECK(simple_conv(spec));
+  const PullBuffers up = systems::upload_pull(dev, g, h);
   const DeviceCoo coo = kernels::upload_coo(dev, g);
-  kernels::EdgeCentricAggKernel agg(coo, up.dg.norm, up.dfeat, up.dout, up.f,
+  kernels::EdgeCentricAggKernel agg(coo, up.dg.norm, up.feat, up.out, up.f,
                                     {spec.kind, spec.gin_eps});
   dev.launch(agg, cfg);
-  switch (spec.kind) {
-    case ModelKind::kGcn: {
-      kernels::AddScaledSelfKernel self(
-          up.dfeat, up.dout, up.f,
-          kernels::AddScaledSelfKernel::Mode::kNormSquared, up.dg);
-      dev.launch(self, cfg);
-      break;
-    }
-    case ModelKind::kGin: {
-      kernels::AddScaledSelfKernel self(
-          up.dfeat, up.dout, up.f, kernels::AddScaledSelfKernel::Mode::kConst,
-          up.dg, 1.0f + spec.gin_eps);
-      dev.launch(self, cfg);
-      break;
-    }
-    case ModelKind::kSage: {
-      kernels::RowScaleKernel rescale(
-          up.dout, up.dout, up.f, kernels::RowScaleKernel::Mode::kByInvDegree,
-          up.dg, {});
-      dev.launch(rescale, cfg);
-      break;
-    }
-    case ModelKind::kGat:
-      TLP_CHECK(false);
-  }
-  return up.download(dev);
-}
-
-Tensor run_fused_gat(Device& dev, const Csr& g, const Tensor& h,
-                     const ConvSpec& spec, const LaunchConfig& cfg) {
-  Uploaded up(dev, g, h);
-  const models::GatHalves halves = models::gat_halves(h, spec.gat);
-  const sim::DevPtr<float> dsh = dev.upload<float>(halves.src);
-  const sim::DevPtr<float> ddh = dev.upload<float>(halves.dst);
-  kernels::FusedGatKernel k(up.dg, up.dfeat, dsh, ddh, up.dout, up.f,
-                            spec.gat.leaky_slope, spec.gat.heads);
-  dev.launch(k, cfg);
+  systems::launch_epilogue(dev, up.dg, up.feat, up.out, up.f, spec, cfg);
   return up.download(dev);
 }
 
@@ -297,9 +183,9 @@ KernelRunner make_mutant(std::string name, BugKind bug,
   r.supports = std::move(supports);
   r.run = [bug](Device& dev, const Csr& g, const Tensor& h,
                 const ConvSpec& spec, const LaunchConfig& cfg) {
-    Uploaded up(dev, g, h);
-    BuggyPullKernel k(up.dg, up.dfeat, up.dout, up.f,
-                      {spec.kind, spec.gin_eps}, bug);
+    const PullBuffers up = systems::upload_pull(dev, g, h);
+    BuggyPullKernel k(up.dg, up.feat, up.out, up.f, {spec.kind, spec.gin_eps},
+                      bug);
     dev.launch(k, cfg);
     return up.download(dev);
   };
@@ -311,15 +197,18 @@ KernelRunner make_mutant(std::string name, BugKind bug,
 const std::vector<KernelRunner>& kernel_runners() {
   static const std::vector<KernelRunner> runners = [] {
     std::vector<KernelRunner> r;
-    r.push_back({"gather_pull", false, simple_conv,
-                 [](Device& dev, const Csr& g, const Tensor& h,
-                    const ConvSpec& spec, const LaunchConfig& cfg) {
-                   return run_gather_pull(dev, g, h, spec, cfg, true);
-                 }});
+    // gather_pull and fused_gat are systems::run_pull, the strategy behind
+    // the TLPGNN and pull systems, on its GCN/GIN/Sage and GAT halves.
+    const auto pull = [](Device& dev, const Csr& g, const Tensor& h,
+                         const ConvSpec& spec, const LaunchConfig& cfg) {
+      return systems::run_pull(dev, g, h, spec, cfg);
+    };
+    r.push_back({"gather_pull", false, simple_conv, pull});
     r.push_back({"gather_pull_nocache", false, simple_conv,
                  [](Device& dev, const Csr& g, const Tensor& h,
                     const ConvSpec& spec, const LaunchConfig& cfg) {
-                   return run_gather_pull(dev, g, h, spec, cfg, false);
+                   return systems::run_pull(dev, g, h, spec, cfg,
+                                            /*register_cache=*/false);
                  }});
     for (const int lpv : {1, 4, 16}) {
       r.push_back({"subwarp_pull_lpv" + std::to_string(lpv), false,
@@ -330,13 +219,13 @@ const std::vector<KernelRunner>& kernel_runners() {
                    }});
     }
     r.push_back({"spmm_pipeline", false, simple_unweighted, run_spmm_pipeline});
-    r.push_back({"push_atomic", false, simple_unweighted, run_push});
+    r.push_back({"push_atomic", false, simple_unweighted, systems::run_push});
     r.push_back({"edge_centric", false, simple_unweighted, run_edge_centric});
     r.push_back({"fused_gat", false,
                  [](const ConvSpec& spec) {
                    return spec.kind == ModelKind::kGat;
                  },
-                 run_fused_gat});
+                 pull});
     return r;
   }();
   return runners;

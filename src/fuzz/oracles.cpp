@@ -176,14 +176,12 @@ std::vector<OracleFailure> check_kernels(const CaseContext& cx) {
 std::vector<OracleFailure> check_systems(const CaseContext& cx) {
   std::vector<OracleFailure> out;
   const std::int64_t out_bytes = cx.ref.size() * 4;
-  for (const char* cname : {"tlpgnn", "dgl", "gnnadvisor", "featgraph",
-                            "push", "edge", "pull"}) {
-    const std::string name = cname;
+  for (const std::string& name : systems::system_names()) {
     guarded("system_diff", name, &out, [&] {
       auto sys = systems::make_system(name);
       if (!sys->supports(cx.conv.kind, /*big_graph=*/false)) return;
-      // Only the TLPGNN path implements per-edge weights; the replicas
-      // reject them by contract.
+      // Per-edge weights run through TLPGNN only: the pull baseline shares
+      // its strategy, and the replicas reject them by contract.
       if (cx.conv.has_edge_weights() && name != "tlpgnn") return;
       // Multi-head GAT is implemented by the fused kernel only, which backs
       // the TLPGNN system and the pull micro baseline.

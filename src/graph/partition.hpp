@@ -1,7 +1,7 @@
 // Greedy edge-balanced vertex partitioning — the METIS-style substrate the
 // paper names as the enabler for its future-work multi-GPU deployment (§1,
-// "Limitations"). The examples use it to show how a TLPGNN workload would be
-// sharded across devices.
+// "Limitations"). systems::run_partitioned uses it to split a convolution
+// that does not fit device memory into parts that do.
 #pragma once
 
 #include <vector>

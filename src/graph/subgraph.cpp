@@ -20,10 +20,11 @@ LocalGraph extract_partition(const Csr& g, std::span<const int> part, int p) {
   }
   out.num_owned = static_cast<VertexId>(out.to_global.size());
 
-  // Halo: sources of owned vertices' in-edges that live elsewhere.
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    if (part[static_cast<std::size_t>(v)] != p) continue;
-    for (const VertexId u : g.neighbors(v)) {
+  // Halo: sources of owned vertices' in-edges that live elsewhere, in
+  // first-use order.
+  for (VertexId i = 0; i < out.num_owned; ++i) {
+    const VertexId gv = out.to_global[static_cast<std::size_t>(i)];
+    for (const VertexId u : g.neighbors(gv)) {
       if (to_local[static_cast<std::size_t>(u)] < 0) {
         to_local[static_cast<std::size_t>(u)] =
             static_cast<VertexId>(out.to_global.size());
@@ -31,17 +32,25 @@ LocalGraph extract_partition(const Csr& g, std::span<const int> part, int p) {
       }
     }
   }
+  const auto nloc = static_cast<VertexId>(out.to_global.size());
 
-  std::vector<Edge> edges;
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    if (part[static_cast<std::size_t>(v)] != p) continue;
-    const VertexId lv = to_local[static_cast<std::size_t>(v)];
-    for (const VertexId u : g.neighbors(v)) {
-      edges.push_back({to_local[static_cast<std::size_t>(u)], lv});
-    }
+  // Owned rows replicate the global rows in their edge order, so a
+  // per-vertex float accumulation over a local row matches the full-graph
+  // one bit for bit; halo rows are empty.
+  std::vector<EdgeOffset> indptr(static_cast<std::size_t>(nloc) + 1, 0);
+  std::vector<VertexId> indices;
+  for (VertexId i = 0; i < out.num_owned; ++i) {
+    const VertexId gv = out.to_global[static_cast<std::size_t>(i)];
+    indptr[static_cast<std::size_t>(i) + 1] =
+        indptr[static_cast<std::size_t>(i)] + g.degree(gv);
+    for (const VertexId u : g.neighbors(gv))
+      indices.push_back(to_local[static_cast<std::size_t>(u)]);
   }
-  out.csr = build_csr(static_cast<VertexId>(out.to_global.size()),
-                      std::move(edges), {.dedup = false});
+  for (VertexId i = out.num_owned; i < nloc; ++i) {
+    indptr[static_cast<std::size_t>(i) + 1] =
+        indptr[static_cast<std::size_t>(i)];
+  }
+  out.csr = Csr(std::move(indptr), std::move(indices));
   return out;
 }
 

@@ -1,7 +1,7 @@
-// Partition-local subgraph extraction — the data layout a multi-GPU
-// deployment (the paper's §1 future work) would ship to each device: owned
-// vertices first, then the halo vertices whose features must be received
-// from other devices before the convolution.
+// Partition-local and induced subgraph extraction. A partition's local graph
+// is the layout systems::run_partitioned runs each part on (and a multi-GPU
+// deployment, the paper's §1 future work, would ship to each device): owned
+// vertices first, then the halo vertices whose features the owned rows read.
 #pragma once
 
 #include <span>
@@ -26,7 +26,9 @@ struct LocalGraph {
 };
 
 /// Extracts partition `p`'s local graph from a global pull-CSR and a vertex
-/// assignment (part[v] in [0, k)).
+/// assignment (part[v] in [0, k)). Owned vertices keep their global order,
+/// halo vertices follow in first-use order, and each owned row keeps the
+/// global row's in-edge order.
 LocalGraph extract_partition(const Csr& g, std::span<const int> part, int p);
 
 /// Induced subgraph over `keep`: kept vertices are relabeled densely in id

@@ -6,9 +6,7 @@
 #include "kernels/apply_vertex.hpp"
 #include "kernels/conv_common.hpp"
 #include "kernels/edge_centric.hpp"
-#include "kernels/fused_gat.hpp"
-#include "kernels/gather_pull.hpp"
-#include "kernels/push_atomic.hpp"
+#include "systems/strategies.hpp"
 
 namespace tlp::systems {
 
@@ -20,39 +18,6 @@ namespace {
 
 const OverheadModel kMicroOverhead{.dispatch_us_per_kernel = 10.0,
                                    .framework_ms_per_kernel = 0.3};
-
-/// Epilogue shared by the atomic strategies: self term for GCN/GIN, mean
-/// rescale for Sage. Launched against the pull-direction graph.
-void launch_epilogue(sim::Device& dev, const DeviceGraph& pull_dg,
-                     sim::DevPtr<float> dfeat, sim::DevPtr<float> dout,
-                     std::int64_t f, const models::ConvSpec& spec,
-                     const sim::LaunchConfig& cfg) {
-  switch (spec.kind) {
-    case ModelKind::kGcn: {
-      kernels::AddScaledSelfKernel k(
-          dfeat, dout, f, kernels::AddScaledSelfKernel::Mode::kNormSquared,
-          pull_dg);
-      dev.launch(k, cfg);
-      break;
-    }
-    case ModelKind::kGin: {
-      kernels::AddScaledSelfKernel k(
-          dfeat, dout, f, kernels::AddScaledSelfKernel::Mode::kConst, pull_dg,
-          1.0f + spec.gin_eps);
-      dev.launch(k, cfg);
-      break;
-    }
-    case ModelKind::kSage: {
-      kernels::RowScaleKernel k(dout, dout, f,
-                                kernels::RowScaleKernel::Mode::kByInvDegree,
-                                pull_dg, {});
-      dev.launch(k, cfg);
-      break;
-    }
-    case ModelKind::kGat:
-      break;  // handled by the dedicated pipeline
-  }
-}
 
 /// Edge-centric GAT: the multi-kernel atomic pipeline a framework without
 /// fusion or vertex parallelism would write (Figure 10d's baseline).
@@ -110,29 +75,8 @@ void run_edge_gat(sim::Device& dev, const DeviceGraph& dg, const DeviceCoo& coo,
 RunResult PushSystem::run(sim::Device& dev, const graph::Csr& g,
                           const tensor::Tensor& feat,
                           const models::ConvSpec& spec) {
-  TLP_CHECK(supports(spec.kind, false));
-  dev.reset_all();
-  const std::int64_t f = feat.cols();
-  // Push walks out-edges but GCN weights still come from in-degrees.
-  const std::vector<float> pull_norm = models::gcn_norm(g);
-  const graph::Csr out_csr = g.reversed();
-  const DeviceGraph dg_out = kernels::upload_graph(dev, out_csr, &pull_norm);
-  const DeviceGraph dg_pull = kernels::upload_graph(dev, g);
-  const sim::DevPtr<float> dfeat = kernels::upload_features(dev, feat);
-  sim::DevPtr<float> dout = dev.alloc_zeroed<float>(dg_out.n * f);
-
   const sim::LaunchConfig cfg;  // hardware dynamic, 16 warps/block
-  {
-    kernels::FillRowsKernel fill(dout, dg_out.n, f, 0.0f);
-    dev.launch(fill, cfg);
-  }
-  kernels::PushKernel push(dg_out, dfeat, dout, f, {spec.kind, spec.gin_eps});
-  dev.launch(push, cfg);
-  // GCN/GIN self terms were already pushed by the kernel itself; only Sage
-  // still needs its mean rescale.
-  if (spec.kind == ModelKind::kSage)
-    launch_epilogue(dev, dg_pull, dfeat, dout, f, spec, cfg);
-  tensor::Tensor out = kernels::download_features(dev, dout, dg_out.n, f);
+  tensor::Tensor out = run_push(dev, g, feat, spec, cfg);
   return finalize_run(dev, std::move(out), kMicroOverhead);
 }
 
@@ -167,24 +111,7 @@ RunResult EdgeCentricSystem::run(sim::Device& dev, const graph::Csr& g,
 RunResult PullSystem::run(sim::Device& dev, const graph::Csr& g,
                           const tensor::Tensor& feat,
                           const models::ConvSpec& spec) {
-  dev.reset_all();
-  const std::int64_t f = feat.cols();
-  const DeviceGraph dg = kernels::upload_graph(dev, g);
-  const sim::DevPtr<float> dfeat = kernels::upload_features(dev, feat);
-  sim::DevPtr<float> dout = dev.alloc_zeroed<float>(dg.n * f);
-  const sim::LaunchConfig cfg;
-  if (spec.kind == ModelKind::kGat) {
-    const models::GatHalves halves = models::gat_halves(feat, spec.gat);
-    const sim::DevPtr<float> dsh = dev.upload<float>(halves.src);
-    const sim::DevPtr<float> ddh = dev.upload<float>(halves.dst);
-    kernels::FusedGatKernel k(dg, dfeat, dsh, ddh, dout, f,
-                              spec.gat.leaky_slope, spec.gat.heads);
-    dev.launch(k, cfg);
-  } else {
-    kernels::GatherPullKernel k(dg, dfeat, dout, f, {spec.kind, spec.gin_eps});
-    dev.launch(k, cfg);
-  }
-  tensor::Tensor out = kernels::download_features(dev, dout, dg.n, f);
+  tensor::Tensor out = run_pull(dev, g, feat, spec, sim::LaunchConfig{});
   return finalize_run(dev, std::move(out), kMicroOverhead);
 }
 

@@ -5,10 +5,10 @@
 #include "kernels/fused_gat.hpp"
 #include "kernels/spmm.hpp"
 #include "kernels/subwarp_pull.hpp"
+#include "systems/strategies.hpp"
 
 namespace tlp::systems {
 
-using kernels::DeviceGraph;
 using models::ModelKind;
 
 namespace {
@@ -34,11 +34,8 @@ RunResult FeatgraphSystem::run(sim::Device& dev, const graph::Csr& g,
                                const models::ConvSpec& spec) {
   TLP_CHECK_MSG(!spec.has_edge_weights(),
                 "edge-weighted convolution is a TLPGNN extension");
-  dev.reset_all();
-  const std::int64_t f = feat.cols();
-  const DeviceGraph dg = kernels::upload_graph(dev, g);
-  const sim::DevPtr<float> dfeat = kernels::upload_features(dev, feat);
-  sim::DevPtr<float> dout = dev.alloc_zeroed<float>(dg.n * f);
+  const PullBuffers b = upload_pull(dev, g, feat);
+  const auto& [dg, dfeat, dout, f] = b;
 
   switch (spec.kind) {
     case ModelKind::kGcn:
@@ -82,8 +79,7 @@ RunResult FeatgraphSystem::run(sim::Device& dev, const graph::Csr& g,
     }
   }
 
-  tensor::Tensor out = kernels::download_features(dev, dout, dg.n, f);
-  return finalize_run(dev, std::move(out), kFeatgraphOverhead);
+  return finalize_run(dev, b.download(dev), kFeatgraphOverhead);
 }
 
 }  // namespace tlp::systems

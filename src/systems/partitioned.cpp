@@ -5,6 +5,7 @@
 #include "common/check.hpp"
 #include "common/timer.hpp"
 #include "graph/partition.hpp"
+#include "graph/subgraph.hpp"
 #include "models/model.hpp"
 
 namespace tlp::systems {
@@ -13,94 +14,6 @@ namespace {
 
 using graph::EdgeOffset;
 using graph::VertexId;
-
-/// Partition-local job: subgraph + gathered inputs for one part. Unlike
-/// graph::extract_partition (which sorts rows for the multi-GPU examples),
-/// rows here keep the exact global in-edge order so that per-vertex float
-/// accumulation is bit-identical to the full-graph run.
-struct PartJob {
-  graph::Csr csr;
-  std::vector<VertexId> to_global;  ///< local id -> global id
-  VertexId num_owned = 0;
-  std::vector<float> norm;          ///< global GCN norms, gathered
-  tensor::Tensor feat;              ///< gathered feature rows
-  std::vector<float> edge_weights;  ///< gathered per-edge weights (may be empty)
-};
-
-PartJob build_part_job(const graph::Csr& g, const tensor::Tensor& feat,
-                       const models::ConvSpec& spec,
-                       const std::vector<float>& global_norm,
-                       std::span<const int> part, int p,
-                       std::vector<VertexId>& to_local) {
-  PartJob job;
-  const VertexId n = g.num_vertices();
-
-  // Owned vertices first, in global order; halo ids follow in first-use
-  // order while scanning owned rows.
-  for (VertexId v = 0; v < n; ++v) {
-    if (part[static_cast<std::size_t>(v)] == p) {
-      to_local[static_cast<std::size_t>(v)] =
-          static_cast<VertexId>(job.to_global.size());
-      job.to_global.push_back(v);
-    }
-  }
-  job.num_owned = static_cast<VertexId>(job.to_global.size());
-  for (VertexId i = 0; i < job.num_owned; ++i) {
-    for (const VertexId u : g.neighbors(job.to_global[static_cast<std::size_t>(i)])) {
-      if (to_local[static_cast<std::size_t>(u)] < 0) {
-        to_local[static_cast<std::size_t>(u)] =
-            static_cast<VertexId>(job.to_global.size());
-        job.to_global.push_back(u);
-      }
-    }
-  }
-  const auto nloc = static_cast<VertexId>(job.to_global.size());
-
-  // Local CSR: owned rows replicate the global rows (edge order preserved);
-  // halo rows are empty.
-  std::vector<EdgeOffset> indptr(static_cast<std::size_t>(nloc) + 1, 0);
-  std::vector<VertexId> indices;
-  for (VertexId i = 0; i < job.num_owned; ++i) {
-    const VertexId gv = job.to_global[static_cast<std::size_t>(i)];
-    indptr[static_cast<std::size_t>(i) + 1] =
-        indptr[static_cast<std::size_t>(i)] + g.degree(gv);
-    for (const VertexId u : g.neighbors(gv)) {
-      indices.push_back(to_local[static_cast<std::size_t>(u)]);
-    }
-  }
-  for (VertexId i = job.num_owned; i < nloc; ++i) {
-    indptr[static_cast<std::size_t>(i) + 1] = indptr[static_cast<std::size_t>(i)];
-  }
-  job.csr = graph::Csr(std::move(indptr), std::move(indices));
-
-  // Gather inputs into local id space.
-  job.norm.reserve(static_cast<std::size_t>(nloc));
-  job.feat = tensor::Tensor(nloc, feat.cols());
-  for (VertexId i = 0; i < nloc; ++i) {
-    const VertexId gv = job.to_global[static_cast<std::size_t>(i)];
-    job.norm.push_back(global_norm[static_cast<std::size_t>(gv)]);
-    const auto src = feat.row(gv);
-    std::copy(src.begin(), src.end(), job.feat.row(i).begin());
-  }
-  if (spec.has_edge_weights()) {
-    job.edge_weights.reserve(static_cast<std::size_t>(job.csr.num_edges()));
-    for (VertexId i = 0; i < job.num_owned; ++i) {
-      const VertexId gv = job.to_global[static_cast<std::size_t>(i)];
-      const EdgeOffset lo = g.indptr()[static_cast<std::size_t>(gv)];
-      const EdgeOffset hi = g.indptr()[static_cast<std::size_t>(gv) + 1];
-      for (EdgeOffset e = lo; e < hi; ++e) {
-        job.edge_weights.push_back(
-            spec.edge_weights[static_cast<std::size_t>(e)]);
-      }
-    }
-  }
-
-  // Reset the scratch map for the next part.
-  for (const VertexId gv : job.to_global) {
-    to_local[static_cast<std::size_t>(gv)] = -1;
-  }
-  return job;
-}
 
 /// Sums additive metrics, gpu-time-weights the rate metrics, and keeps the
 /// worst-case peak footprint.
@@ -145,23 +58,42 @@ RunResult run_partitioned(TlpgnnSystem& system, sim::Device& dev,
   RunResult total;
   total.output = tensor::Tensor(g.num_vertices(), feat.cols());
   total.preprocessing_ms = partition_ms;
-  std::vector<VertexId> to_local(static_cast<std::size_t>(g.num_vertices()),
-                                 -1);
   int parts_run = 0;
   for (int p = 0; p < k; ++p) {
-    const PartJob job =
-        build_part_job(g, feat, spec, global_norm, parts.part, p, to_local);
-    if (job.num_owned == 0) continue;  // greedy partitioning can leave gaps
+    const graph::LocalGraph lg = graph::extract_partition(g, parts.part, p);
+    if (lg.num_owned == 0) continue;  // greedy partitioning can leave gaps
 
+    // Gather the inputs into local id space: global norms, feature rows, and
+    // per-edge weights in global edge order.
+    const VertexId nloc = lg.csr.num_vertices();
+    std::vector<float> norm;
+    norm.reserve(static_cast<std::size_t>(nloc));
+    tensor::Tensor local_feat(nloc, feat.cols());
+    for (VertexId i = 0; i < nloc; ++i) {
+      const VertexId gv = lg.to_global[static_cast<std::size_t>(i)];
+      norm.push_back(global_norm[static_cast<std::size_t>(gv)]);
+      const auto src = feat.row(gv);
+      std::copy(src.begin(), src.end(), local_feat.row(i).begin());
+    }
     models::ConvSpec local_spec = spec;
-    local_spec.edge_weights = job.edge_weights;
+    if (spec.has_edge_weights()) {
+      local_spec.edge_weights.clear();
+      for (VertexId i = 0; i < lg.num_owned; ++i) {
+        const VertexId gv = lg.to_global[static_cast<std::size_t>(i)];
+        const EdgeOffset lo = g.indptr()[static_cast<std::size_t>(gv)];
+        const EdgeOffset hi = g.indptr()[static_cast<std::size_t>(gv) + 1];
+        local_spec.edge_weights.insert(
+            local_spec.edge_weights.end(),
+            spec.edge_weights.begin() + lo, spec.edge_weights.begin() + hi);
+      }
+    }
     RunResult r =
-        system.run_with_norm(dev, job.csr, job.feat, local_spec, &job.norm);
+        system.run_with_norm(dev, lg.csr, local_feat, local_spec, &norm);
 
-    for (VertexId i = 0; i < job.num_owned; ++i) {
+    for (VertexId i = 0; i < lg.num_owned; ++i) {
       const auto src = r.output.row(i);
       const auto dst =
-          total.output.row(job.to_global[static_cast<std::size_t>(i)]);
+          total.output.row(lg.to_global[static_cast<std::size_t>(i)]);
       std::copy(src.begin(), src.end(), dst.begin());
     }
     accumulate_metrics(total.metrics, r.metrics);

@@ -7,7 +7,8 @@
 // owned output rows are scattered back into the global output matrix.
 //
 // Results are bit-identical to the unpartitioned run: local rows keep the
-// exact global in-edge order (so float accumulation order is unchanged),
+// exact global in-edge order (graph::extract_partition, so float
+// accumulation order is unchanged),
 // owned vertices keep their global GCN norms via
 // TlpgnnSystem::run_with_norm, and per-edge weights are gathered in global
 // edge order.

@@ -24,16 +24,42 @@ RunResult finalize_run(sim::Device& dev, tensor::Tensor output,
   return r;
 }
 
+namespace {
+
+template <class S>
+std::unique_ptr<GnnSystem> construct() {
+  return std::make_unique<S>();
+}
+
+struct NamedSystem {
+  const char* name;
+  std::unique_ptr<GnnSystem> (*make)();
+};
+
+constexpr NamedSystem kSystems[] = {
+    {"tlpgnn", &construct<TlpgnnSystem>},
+    {"dgl", &construct<DglSystem>},
+    {"gnnadvisor", &construct<GnnAdvisorSystem>},
+    {"featgraph", &construct<FeatgraphSystem>},
+    {"push", &construct<PushSystem>},
+    {"edge", &construct<EdgeCentricSystem>},
+    {"pull", &construct<PullSystem>},
+};
+
+}  // namespace
+
 std::unique_ptr<GnnSystem> make_system(const std::string& name) {
-  if (name == "tlpgnn") return std::make_unique<TlpgnnSystem>();
-  if (name == "dgl") return std::make_unique<DglSystem>();
-  if (name == "gnnadvisor") return std::make_unique<GnnAdvisorSystem>();
-  if (name == "featgraph") return std::make_unique<FeatgraphSystem>();
-  if (name == "push") return std::make_unique<PushSystem>();
-  if (name == "edge") return std::make_unique<EdgeCentricSystem>();
-  if (name == "pull") return std::make_unique<PullSystem>();
+  for (const NamedSystem& s : kSystems) {
+    if (name == s.name) return s.make();
+  }
   TLP_CHECK_MSG(false, "unknown system '" << name << "'");
   __builtin_unreachable();
+}
+
+std::vector<std::string> system_names() {
+  std::vector<std::string> names;
+  for (const NamedSystem& s : kSystems) names.emplace_back(s.name);
+  return names;
 }
 
 std::vector<std::string> table5_system_names() {

@@ -78,9 +78,13 @@ class GnnSystem {
 RunResult finalize_run(sim::Device& dev, tensor::Tensor output,
                        const OverheadModel& overhead);
 
-/// Factory for every system by name: "tlpgnn", "dgl", "gnnadvisor",
-/// "featgraph", "push", "edge", "pull". Throws CheckError on unknown names.
+/// Factory for every system by name (see system_names()). Throws CheckError
+/// on unknown names.
 std::unique_ptr<GnnSystem> make_system(const std::string& name);
+
+/// Every name make_system accepts: "tlpgnn", "dgl", "gnnadvisor",
+/// "featgraph", "push", "edge", "pull", in that order.
+std::vector<std::string> system_names();
 
 /// All comparable system names in Table 5 order.
 std::vector<std::string> table5_system_names();

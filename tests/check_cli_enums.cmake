@@ -2,8 +2,8 @@
 # given a value outside its set, must exit with code 2 and a diagnostic
 # naming the flag — never fall through to a default or die with a generic
 # CheckError (exit 1). Invoked by ctest as
-#   cmake -DTLPBENCH=... -DTLPGNN_CLI=... -DTLPSERVE=... -DBASELINE=...
-#         -P check_cli_enums.cmake
+#   cmake -DTLPBENCH=... -DTLPGNN_CLI=... -DTLPSERVE=... -DTLPFUZZ=...
+#         -DBASELINE=... -P check_cli_enums.cmake
 
 # Case 1: tlpbench rejects a flag it no longer has (the removed
 # --timing-tier) before any bench runs.
@@ -92,4 +92,23 @@ if(NOT err5 MATCHES "--arrival" OR NOT err5 MATCHES "valid:.*bursty")
   message(FATAL_ERROR
           "tlpserve bad --arrival: diagnostic must name the flag and the "
           "valid set, got: ${err5}")
+endif()
+
+# Case 6: tlpfuzz, the last front end to check its flags. A mistyped --iters
+# must not fall back to the default campaign.
+execute_process(
+  COMMAND "${TLPFUZZ}" --iter 1 --time-budget 0.5
+  RESULT_VARIABLE rc6
+  ERROR_VARIABLE err6
+  OUTPUT_VARIABLE out6)
+if(NOT rc6 EQUAL 2)
+  message(FATAL_ERROR "tlpfuzz --iter: expected exit 2, got ${rc6}")
+endif()
+if(NOT err6 MATCHES "unknown flag --iter")
+  message(FATAL_ERROR
+          "tlpfuzz --iter: diagnostic must name the flag, got: ${err6}")
+endif()
+if(NOT out6 STREQUAL "")
+  message(FATAL_ERROR
+          "rejected tlpfuzz run printed output; it must not: ${out6}")
 endif()

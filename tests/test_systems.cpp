@@ -4,6 +4,7 @@
 // counts, atomic traffic, occupancy, memory usage).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/check.hpp"
@@ -61,8 +62,7 @@ TEST_P(SystemCorrectness, MatchesReference) {
 INSTANTIATE_TEST_SUITE_P(
     AllSystemsAllModels, SystemCorrectness,
     ::testing::Combine(
-        ::testing::Values("tlpgnn", "dgl", "gnnadvisor", "featgraph", "push",
-                          "edge", "pull"),
+        ::testing::ValuesIn(system_names()),
         ::testing::Values(ModelKind::kGcn, ModelKind::kGin, ModelKind::kSage,
                           ModelKind::kGat)),
     [](const auto& suite_info) {
@@ -259,10 +259,20 @@ TEST(Partitioned, CountInvarianceBitIdentical) {
   }
 }
 
-TEST(Systems, Table5NamesResolve) {
-  for (const auto& name : table5_system_names()) {
-    EXPECT_NO_THROW((void)make_system(name));
+// system_names() is the one list of systems: every name on it constructs,
+// Table 5's names are on it, and make_system rejects a name that is not.
+TEST(Systems, ListedNamesConstructOthersThrow) {
+  const std::vector<std::string> names = system_names();
+  EXPECT_EQ(names.size(), 7u);
+  for (const auto& name : names) {
+    EXPECT_NO_THROW((void)make_system(name)) << name;
   }
+  for (const auto& name : table5_system_names()) {
+    EXPECT_NE(std::find(names.begin(), names.end(), name), names.end())
+        << name;
+  }
+  EXPECT_THROW((void)make_system("tlpgnn2"), tlp::CheckError);
+  EXPECT_THROW((void)make_system(""), tlp::CheckError);
 }
 
 }  // namespace

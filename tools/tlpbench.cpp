@@ -327,32 +327,26 @@ int main(int argc, char** argv) {
     usage(stdout);
     return 0;
   }
-  // The common flags plus every registered bench's extra flags (run_mode
-  // forwards them to the bench's run(), e.g. serve's --requests).
-  std::vector<std::string> known = kFlags;
-  for (const std::string& f : bench_extra_flags()) known.push_back(f);
-  for (const std::string& key : args.named_keys()) {
-    if (std::find(known.begin(), known.end(), key) == known.end()) {
-      std::fprintf(stderr, "error: unknown flag --%s\n", key.c_str());
-      usage(stderr);
-      return 2;
-    }
-  }
-
-  if (args.get_bool("list", false)) {
-    std::printf("registered benches (tlpbench --only <name,...>):\n");
-    for (const bench::BenchDef* def : bench::all_benches()) {
-      std::printf("  %-8s %s\n", def->name, def->title);
-    }
-    std::printf("(micro_sim is standalone: google-benchmark, own JSON "
-                "format)\n");
-    return 0;
-  }
-
-  const std::string baseline_path =
-      args.get("baseline", "bench/baseline.json");
-
   try {
+    // The common flags plus every registered bench's extra flags (run_mode
+    // forwards them to the bench's run(), e.g. serve's --requests).
+    std::vector<std::string> known = kFlags;
+    for (const std::string& f : bench_extra_flags()) known.push_back(f);
+    args.reject_unknown(known);
+
+    if (args.get_bool("list", false)) {
+      std::printf("registered benches (tlpbench --only <name,...>):\n");
+      for (const bench::BenchDef* def : bench::all_benches()) {
+        std::printf("  %-8s %s\n", def->name, def->title);
+      }
+      std::printf("(micro_sim is standalone: google-benchmark, own JSON "
+                  "format)\n");
+      return 0;
+    }
+
+    const std::string baseline_path =
+        args.get("baseline", "bench/baseline.json");
+
     if (args.has("render-md") || args.has("check-md")) {
       Baseline b;
       if (args.has("from")) {

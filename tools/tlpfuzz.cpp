@@ -58,6 +58,9 @@ int main(int argc, char** argv) {
   }
 
   try {
+    args.reject_unknown({"iters", "seed", "time-budget", "repro",
+                         "expect-bugs", "repro-dir", "json", "verbose",
+                         "help"});
     tlp::fuzz::FuzzOptions opts;
     // The report stores the seed as a JSON number (a double): bound it where
     // every integer is exact.

@@ -25,7 +25,6 @@
 //   --fail-launch N   fail the Nth kernel launch
 //   --flip-at N       flip --flip-bits random bits before the Nth launch,
 //                     in allocation --flip-alloc (0-based; -1 = random)
-#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -48,22 +47,18 @@ namespace {
 using namespace tlp;
 
 /// The flags each command reads (load_graph's are shared by all three).
-bool known_flag(const std::string& cmd, const std::string& flag) {
-  static const std::vector<std::string> graph_flags{
-      "dataset", "graph", "max-edges", "full", "seed"};
-  static const std::vector<std::string> run_flags{
-      "system", "model", "feature", "heads", "gpu-scale", "check", "repeat",
-      "memcheck", "device-mem-gb", "oom-at", "fail-launch", "flip-at",
-      "flip-bits", "flip-alloc"};
-  static const std::vector<std::string> gen_flags{"out", "vertices", "edges",
-                                                  "alpha", "format"};
-  const auto in = [&](const std::vector<std::string>& set) {
-    return std::find(set.begin(), set.end(), flag) != set.end();
-  };
-  if (in(graph_flags)) return true;
-  if (cmd == "run") return in(run_flags);
-  if (cmd == "gen") return in(gen_flags);
-  return false;
+std::vector<std::string> known_flags(const std::string& cmd) {
+  std::vector<std::string> flags{"dataset", "graph", "max-edges", "full",
+                                 "seed"};
+  if (cmd == "run") {
+    flags.insert(flags.end(),
+                 {"system", "model", "feature", "heads", "gpu-scale", "check",
+                  "repeat", "memcheck", "device-mem-gb", "oom-at",
+                  "fail-launch", "flip-at", "flip-bits", "flip-alloc"});
+  } else if (cmd == "gen") {
+    flags.insert(flags.end(), {"out", "vertices", "edges", "alpha", "format"});
+  }
+  return flags;
 }
 
 graph::Csr load_graph(const Args& args) {
@@ -242,13 +237,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "unknown command '%s' (run|gen|info)\n", cmd.c_str());
     return 2;
   }
-  for (const std::string& key : args.named_keys()) {
-    if (!known_flag(cmd, key)) {
-      std::fprintf(stderr, "error: unknown flag --%s\n", key.c_str());
-      return 2;
-    }
-  }
   try {
+    args.reject_unknown(known_flags(cmd));
     if (cmd == "run") return cmd_run(args);
     if (cmd == "gen") return cmd_gen(args);
     return cmd_info(args);

@@ -263,14 +263,8 @@ int run(const tlp::Args& args) {
 
 int main(int argc, char** argv) {
   const tlp::Args args(argc, argv);
-  for (const std::string& key : args.named_keys()) {
-    if (std::find(known_flags().begin(), known_flags().end(), key) ==
-        known_flags().end()) {
-      std::fprintf(stderr, "error: unknown flag --%s\n", key.c_str());
-      return 2;
-    }
-  }
   try {
+    args.reject_unknown(known_flags());
     return run(args);
   } catch (const tlp::UsageError& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
