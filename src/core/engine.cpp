@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "systems/partitioned.hpp"
 #include "tensor/dense_ops.hpp"
 
 namespace tlp {
@@ -17,10 +16,28 @@ sim::GpuSpec effective_spec(const EngineOptions& opts) {
 
 }  // namespace
 
+std::vector<int> FallbackPolicy::partition_counts(
+    std::int64_t num_vertices) const {
+  std::vector<int> ks;
+  for (std::int64_t k = std::max(2, initial_partitions);
+       num_vertices >= 2 && std::ssize(ks) < max_attempts; k *= 2) {
+    ks.push_back(static_cast<int>(std::min(k, num_vertices)));
+    if (ks.back() == num_vertices) break;  // one vertex per part
+  }
+  return ks;
+}
+
+void FallbackPolicy::validate() const {
+  TLP_CHECK_GE(initial_partitions, 1);
+  TLP_CHECK_GE(max_attempts, 0);
+}
+
 Engine::Engine(const EngineOptions& opts)
     : opts_(opts),
       device_(std::make_unique<sim::Device>(effective_spec(opts), opts.device)),
-      system_(opts.tlpgnn) {}
+      system_(opts.tlpgnn) {
+  opts_.fallback.validate();
+}
 
 systems::RunResult Engine::conv(const graph::Csr& g,
                                 const tensor::Tensor& feat,
@@ -29,40 +46,24 @@ systems::RunResult Engine::conv(const graph::Csr& g,
                 "feature rows " << feat.rows() << " != vertices "
                                 << g.num_vertices());
   try {
-    systems::RunResult r = system_.run(*device_, g, feat, spec);
-    last_ = r;
-    return r;
+    last_ = system_.run(*device_, g, feat, spec);
+    return last_;
   } catch (const OutOfMemory& oom) {
-    if (!opts_.degrade.enabled) throw;
-    systems::RunResult r = conv_degraded(g, feat, spec, oom);
-    last_ = r;
-    return r;
-  }
-}
-
-systems::RunResult Engine::conv_degraded(const graph::Csr& g,
-                                         const tensor::Tensor& feat,
-                                         const models::ConvSpec& spec,
-                                         const OutOfMemory& oom) {
-  // Bounded retries: double the part count each attempt so the per-part
-  // footprint shrinks geometrically. A part can never be smaller than one
-  // vertex, so cap the count at |V|.
-  if (g.num_vertices() < 2) throw oom;  // nothing left to split
-  int k = std::max(2, opts_.degrade.initial_partitions);
-  for (int attempt = 0; attempt < opts_.degrade.max_attempts; ++attempt) {
-    k = std::min<int>(k, g.num_vertices());
-    try {
-      systems::RunResult r =
-          systems::run_partitioned(system_, *device_, g, feat, spec, k);
-      r.degradation.retries = attempt;
-      r.degradation.reason = oom.what();
-      return r;
-    } catch (const OutOfMemory&) {
-      if (attempt + 1 >= opts_.degrade.max_attempts) throw;
-      k *= 2;
+    // The last OutOfMemory of an exhausted (or empty) schedule propagates.
+    const std::vector<int> ks =
+        opts_.fallback.partition_counts(g.num_vertices());
+    for (std::size_t attempt = 0; attempt < ks.size(); ++attempt) {
+      try {
+        last_ = conv_partitioned(g, feat, spec, ks[attempt]);
+        last_.degradation.retries = static_cast<int>(attempt);
+        last_.degradation.reason = oom.what();
+        return last_;
+      } catch (const OutOfMemory&) {
+        if (attempt + 1 == ks.size()) throw;
+      }
     }
+    throw;
   }
-  throw oom;  // unreachable: the loop either returns or rethrows
 }
 
 tensor::Tensor Engine::layer(const graph::Csr& g, const tensor::Tensor& h,

@@ -13,29 +13,35 @@
 // Robustness: the device enforces its GpuSpec memory capacity and can run
 // with guarded memory / a fault plan (EngineOptions::device). When a
 // convolution hits tlp::OutOfMemory, conv() degrades gracefully instead of
-// failing: it re-runs the convolution over partitioned subgraphs with
-// bounded retries (doubling the part count each attempt) and reports the
-// degradation in RunResult::degradation. Output stays bit-identical to the
-// unpartitioned run (see systems/partitioned.hpp).
+// failing: it re-runs the convolution over partitioned subgraphs, one
+// conv_partitioned() per FallbackPolicy::partition_counts entry, and reports
+// the degradation in RunResult::degradation. Output stays bit-identical to
+// the unpartitioned run (see systems/partitioned.hpp).
 #pragma once
 
+#include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "graph/csr.hpp"
 #include "models/model.hpp"
 #include "sim/device.hpp"
+#include "systems/partitioned.hpp"
 #include "systems/tlpgnn_system.hpp"
 #include "tensor/tensor.hpp"
 
 namespace tlp {
 
-/// Policy for the OutOfMemory partitioned fallback.
-struct DegradePolicy {
-  bool enabled = true;
+/// The partitioned fallback, shared by Engine::conv and the serving ladder.
+struct FallbackPolicy {
   int initial_partitions = 2;
-  /// Maximum partitioned attempts (partition count doubles per attempt);
-  /// when exhausted the last OutOfMemory propagates to the caller.
-  int max_attempts = 4;
+  int max_attempts = 4;  ///< 0 turns the fallback off
+
+  /// Part count per attempt: max(2, initial_partitions), doubling, capped at
+  /// |V| and ending there; at most max_attempts entries, none for |V| < 2.
+  [[nodiscard]] std::vector<int> partition_counts(
+      std::int64_t num_vertices) const;
+  void validate() const;  ///< initial_partitions >= 1, max_attempts >= 0
 };
 
 struct EngineOptions {
@@ -44,7 +50,7 @@ struct EngineOptions {
   std::int64_t device_memory_bytes = 0;
   sim::DeviceOptions device;  ///< guarded memory mode, fault plan
   systems::TlpgnnOptions tlpgnn;
-  DegradePolicy degrade;
+  FallbackPolicy fallback;
 };
 
 class Engine {
@@ -54,10 +60,18 @@ class Engine {
 
   /// Runs one graph-convolution operation with TLPGNN and returns the output
   /// features plus simulator metrics. On device OutOfMemory this degrades to
-  /// partitioned execution (see DegradePolicy) rather than throwing;
+  /// partitioned execution (see FallbackPolicy) rather than throwing;
   /// inspect RunResult::degradation to detect the fallback.
   systems::RunResult conv(const graph::Csr& g, const tensor::Tensor& feat,
                           const models::ConvSpec& spec);
+
+  /// One partitioned attempt over `k` parts on this engine's system and
+  /// device; errors propagate, last_run() is untouched.
+  systems::RunResult conv_partitioned(const graph::Csr& g,
+                                      const tensor::Tensor& feat,
+                                      const models::ConvSpec& spec, int k) {
+    return systems::run_partitioned(system_, *device_, g, feat, spec, k);
+  }
 
   /// A full GNN layer: dense transform (h * weights), graph convolution,
   /// then optional ReLU — the standard three-phase layer of §2.1. The dense
@@ -73,11 +87,6 @@ class Engine {
   [[nodiscard]] const EngineOptions& options() const { return opts_; }
 
  private:
-  systems::RunResult conv_degraded(const graph::Csr& g,
-                                   const tensor::Tensor& feat,
-                                   const models::ConvSpec& spec,
-                                   const OutOfMemory& oom);
-
   EngineOptions opts_;
   std::unique_ptr<sim::Device> device_;
   systems::TlpgnnSystem system_;

@@ -79,12 +79,11 @@ FailurePredicate system_predicate(const CaseSpec& spec,
     try {
       const tensor::Tensor h2 = make_features(spec, g2);
       const models::ConvSpec conv2 = make_conv_spec(spec, g2);
-      auto sys = systems::make_system(name);
-      if (!sys->supports(conv2.kind, false)) return false;
-      if (conv2.has_edge_weights() && name != "tlpgnn") return false;
+      if (!system_runs_case(name, conv2)) return false;
       const tensor::Tensor ref2 = models::reference_conv(g2, h2, conv2);
       sim::Device dev;
-      const systems::RunResult r = sys->run(dev, g2, h2, conv2);
+      const systems::RunResult r =
+          systems::make_system(name)->run(dev, g2, h2, conv2);
       std::string detail;
       return !outputs_close(r.output, ref2, &detail);
     } catch (...) {

@@ -173,24 +173,27 @@ std::vector<OracleFailure> check_kernels(const CaseContext& cx) {
   return out;
 }
 
+bool system_runs_case(const std::string& name, const models::ConvSpec& conv) {
+  if (!systems::make_system(name)->supports(conv.kind, /*big_graph=*/false)) {
+    return false;
+  }
+  // Per-edge weights and multi-head GAT (the fused kernel) run only through
+  // systems::run_pull, behind the TLPGNN system and the pull baseline.
+  const bool runs_pull = name == "tlpgnn" || name == "pull";
+  const bool multi_head_gat =
+      conv.kind == models::ModelKind::kGat && conv.gat.heads > 1;
+  return runs_pull || (!conv.has_edge_weights() && !multi_head_gat);
+}
+
 std::vector<OracleFailure> check_systems(const CaseContext& cx) {
   std::vector<OracleFailure> out;
   const std::int64_t out_bytes = cx.ref.size() * 4;
   for (const std::string& name : systems::system_names()) {
     guarded("system_diff", name, &out, [&] {
-      auto sys = systems::make_system(name);
-      if (!sys->supports(cx.conv.kind, /*big_graph=*/false)) return;
-      // Per-edge weights run through TLPGNN only: the pull baseline shares
-      // its strategy, and the replicas reject them by contract.
-      if (cx.conv.has_edge_weights() && name != "tlpgnn") return;
-      // Multi-head GAT is implemented by the fused kernel only, which backs
-      // the TLPGNN system and the pull micro baseline.
-      if (cx.conv.kind == models::ModelKind::kGat && cx.conv.gat.heads > 1 &&
-          name != "tlpgnn" && name != "pull") {
-        return;
-      }
+      if (!system_runs_case(name, cx.conv)) return;
       sim::Device dev;
-      const RunResult r = sys->run(dev, cx.g, cx.h, cx.conv);
+      const RunResult r = systems::make_system(name)->run(dev, cx.g, cx.h,
+                                                          cx.conv);
       std::string detail;
       if (!outputs_close(r.output, cx.ref, &detail)) {
         out.push_back({"system_diff", name, detail});

@@ -45,7 +45,10 @@ bool outputs_close(const tensor::Tensor& got, const tensor::Tensor& ref,
 
 /// Every applicable kernel strategy vs the reference.
 std::vector<OracleFailure> check_kernels(const CaseContext& cx);
-/// Every registered framework replica vs the reference.
+/// Whether check_systems and the minimizer run system `name` on a case: it
+/// supports the model; weights and multi-head GAT need run_pull's systems.
+bool system_runs_case(const std::string& name, const models::ConvSpec& conv);
+/// Every registered framework replica the case runs on vs the reference.
 std::vector<OracleFailure> check_systems(const CaseContext& cx);
 /// Vertex-reorder equivariance of the TLPGNN system.
 std::vector<OracleFailure> check_reorder(const CaseContext& cx);

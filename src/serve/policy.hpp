@@ -1,12 +1,10 @@
 // Fault-tolerance policies of the serving runtime (DESIGN.md §11).
 //
-// Three cooperating pieces, all operating in *simulated* time so every run
-// is deterministic:
+// Two cooperating pieces, all operating in *simulated* time so every run
+// is deterministic (the ladder's partitioned-fallback rung is configured by
+// tlp::FallbackPolicy, core/engine.hpp):
 //  - RetryPolicy: exponential backoff with seeded jitter between direct
 //    re-attempts of a failed request.
-//  - FallbackPolicy: when the direct ladder is exhausted, degrade to the
-//    bit-identical partitioned path (systems/partitioned.*), doubling the
-//    part count per attempt.
 //  - CircuitBreaker: counts consecutive direct-path failures; after the
 //    threshold it *opens* and the server routes requests straight to the
 //    fallback (no doomed direct attempts) until a cooldown elapses, then a
@@ -32,13 +30,6 @@ struct RetryPolicy {
 
   /// Simulated backoff before retry number `retry` (0-based).
   [[nodiscard]] double delay_ms(int retry, Rng& rng) const;
-};
-
-struct FallbackPolicy {
-  bool enabled = true;
-  int initial_partitions = 2;
-  /// Partitioned attempts (part count doubles per attempt).
-  int max_attempts = 2;
 };
 
 struct BreakerPolicy {

@@ -8,7 +8,6 @@
 
 #include "common/check.hpp"
 #include "serve/feature_cache.hpp"
-#include "systems/partitioned.hpp"
 
 namespace tlp::serve {
 
@@ -66,8 +65,9 @@ MergedBatch merge_batch(const std::vector<const Request*>& reqs,
   return m;
 }
 
-void fill_served(Response& out, const Request& req, Outcome outcome,
-                 std::span<const float> row, double t_start, double now) {
+/// Closes a request's response; `row` is empty for a Failed one.
+void finish(Response& out, const Request& req, Outcome outcome,
+            std::span<const float> row, double t_start, double now) {
   out.outcome = outcome;
   out.output.assign(row.begin(), row.end());
   out.queue_ms = t_start - req.arrival_ms;
@@ -81,10 +81,9 @@ Server::Server(const ServerOptions& opts, FeatureCache* cache)
     : opts_(opts),
       engine_([&opts] {
         EngineOptions eo = opts.engine;
-        eo.degrade.enabled = false;  // the server owns the ladder
+        eo.fallback.max_attempts = 0;  // the server owns the ladder
         return eo;
       }()),
-      fallback_system_(opts.engine.tlpgnn),
       cache_(cache) {
   TLP_CHECK_GT(opts_.queue_capacity, 0);
   TLP_CHECK_GT(opts_.max_batch, 0);
@@ -94,8 +93,7 @@ Server::Server(const ServerOptions& opts, FeatureCache* cache)
   TLP_CHECK_GE(opts_.retry.max_retries, 0);
   TLP_CHECK_GE(opts_.retry.base_delay_ms, 0);
   TLP_CHECK_GE(opts_.retry.multiplier, 1.0);
-  TLP_CHECK_GE(opts_.fallback.initial_partitions, 1);
-  TLP_CHECK_GE(opts_.fallback.max_attempts, 1);
+  opts_.fallback.validate();
   TLP_CHECK_GT(opts_.breaker.failure_threshold, 0);
   TLP_CHECK_GE(opts_.breaker.cooldown_ms, 0);
   for (std::size_t s = 1; s < opts_.storms.size(); ++s) {
@@ -178,9 +176,9 @@ ServeResult Server::run(const std::vector<Request>& traffic,
         clock += r.runtime_ms;
         breaker.record_success();
         ++out.direct_attempts;
-        fill_served(out, req,
-                    out.direct_attempts == 1 ? Outcome::kOk : Outcome::kRetried,
-                    r.output.row(req.query_local), t_start, clock);
+        finish(out, req,
+               out.direct_attempts == 1 ? Outcome::kOk : Outcome::kRetried,
+               r.output.row(req.query_local), t_start, clock);
         return;
       } catch (const DeviceError& e) {
         ++out.direct_attempts;
@@ -190,43 +188,34 @@ ServeResult Server::run(const std::vector<Request>& traffic,
       }
     }
 
-    // Partitioned fallback: bit-identical output, doubling part count. A
-    // graph of < 2 vertices cannot be split; such a request can only fail.
-    if (opts_.fallback.enabled && g.num_vertices() >= 2) {
-      int k = std::max(2, opts_.fallback.initial_partitions);
-      for (int a = 0; a < opts_.fallback.max_attempts; ++a) {
-        k = std::min<int>(k, g.num_vertices());
-        ++out.fallback_attempts;
-        dev.set_fault_context("req " + std::to_string(req.id) +
-                              " fallback attempt " + std::to_string(a + 1) +
-                              " (k=" + std::to_string(k) + ")");
-        try {
-          const systems::RunResult r = systems::run_partitioned(
-              fallback_system_, dev, g, feat, spec, k);
-          clock += r.runtime_ms;
-          out.partitions = k;
-          fill_served(out, req, Outcome::kDegraded,
-                      r.output.row(req.query_local), t_start, clock);
-          return;
-        } catch (const DeviceError& e) {
-          clock += failed_charge();
-          out.error = e.what();
-          if (k >= g.num_vertices()) break;  // cannot split further
-          k *= 2;
-        }
+    // Partitioned fallback on the engine's schedule: bit-identical output. A
+    // graph of < 2 vertices has no schedule; such a request can only fail.
+    for (const int k : opts_.fallback.partition_counts(g.num_vertices())) {
+      ++out.fallback_attempts;
+      dev.set_fault_context("req " + std::to_string(req.id) +
+                            " fallback attempt " +
+                            std::to_string(out.fallback_attempts) +
+                            " (k=" + std::to_string(k) + ")");
+      try {
+        const systems::RunResult r = engine_.conv_partitioned(g, feat, spec, k);
+        clock += r.runtime_ms;
+        out.partitions = k;
+        finish(out, req, Outcome::kDegraded, r.output.row(req.query_local),
+               t_start, clock);
+        return;
+      } catch (const DeviceError& e) {
+        clock += failed_charge();
+        out.error = e.what();
       }
     }
 
-    out.outcome = Outcome::kFailed;
     // An open breaker can skip every rung of the ladder; a Failed response
     // must still explain itself.
     if (out.error.empty()) {
       out.error = "circuit breaker open: direct path skipped and no fallback "
                   "attempt was possible";
     }
-    out.queue_ms = t_start - req.arrival_ms;
-    out.latency_ms = clock - req.arrival_ms;
-    out.deadline_missed = req.deadline_ms > 0 && clock > req.deadline_ms;
+    finish(out, req, Outcome::kFailed, {}, t_start, clock);
   };
 
   while (next_arrival < n || !queue.empty()) {
@@ -319,9 +308,8 @@ ServeResult Server::run(const std::vector<Request>& traffic,
           const Request& req = *live[i];
           Response& out = result.responses[static_cast<std::size_t>(req.id)];
           ++out.direct_attempts;
-          fill_served(out, req, Outcome::kOk,
-                      r.output.row(mb.base[i] + req.query_local), t_start,
-                      clock);
+          finish(out, req, Outcome::kOk,
+                 r.output.row(mb.base[i] + req.query_local), t_start, clock);
         }
         batch_served = true;
       } catch (const DeviceError& e) {

@@ -52,10 +52,10 @@ struct ServerOptions {
   /// How long the server holds an under-full batch open for more arrivals.
   double batch_window_ms = 2.0;
   RetryPolicy retry;
-  FallbackPolicy fallback;
+  FallbackPolicy fallback{.max_attempts = 2};
   BreakerPolicy breaker;
-  /// Device + TLPGNN configuration. The server owns the retry/degrade ladder,
-  /// so Engine's internal DegradePolicy is forced off.
+  /// Device + TLPGNN configuration. The server owns the ladder and runs
+  /// `fallback` through Engine::conv_partitioned, so engine.fallback is off.
   EngineOptions engine;
   /// Simulated charge for an attempt that dies before producing kernel time.
   double failed_attempt_floor_ms = 0.05;
@@ -151,9 +151,7 @@ class Server {
 
  private:
   ServerOptions opts_;
-  Engine engine_;
-  /// Fallback path system — run_partitioned needs direct system access.
-  systems::TlpgnnSystem fallback_system_;
+  Engine engine_;  ///< runs direct and partitioned attempts
   FeatureCache* cache_ = nullptr;  ///< optional, not owned
 };
 

@@ -1,5 +1,7 @@
 // Partitioned execution of one TLPGNN convolution — the graceful-degradation
 // path Engine::conv takes when the full-graph run throws tlp::OutOfMemory.
+// Engine::conv_partitioned is its one caller outside tests and the fuzz
+// partition oracle; the serving ladder reaches it through that too.
 //
 // The graph is split into k edge-balanced parts (graph::partition_greedy);
 // each part runs as an independent device-sized job over its local subgraph
@@ -22,7 +24,7 @@ namespace tlp::systems {
 /// Runs `spec` over `g` split into `k` parts. Each part resets `dev`, so the
 /// per-part device footprint is what must fit the capacity limit; a part
 /// that still does not fit propagates tlp::OutOfMemory to the caller (which
-/// may retry with larger k). Metrics are aggregated across parts (times and
+/// retries with the next k of tlp::FallbackPolicy::partition_counts). Metrics are aggregated across parts (times and
 /// traffic sum; rates are gpu-time-weighted; peak memory is the max part).
 RunResult run_partitioned(TlpgnnSystem& system, sim::Device& dev,
                           const graph::Csr& g, const tensor::Tensor& feat,

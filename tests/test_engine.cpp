@@ -94,5 +94,25 @@ TEST(Engine, TwoLayerPipelineRuns) {
   }
 }
 
+TEST(Engine, FallbackScheduleDoublesAndStopsAtVertexCount) {
+  using Counts = std::vector<int>;
+  const FallbackPolicy defaults;
+  EXPECT_EQ(defaults.partition_counts(1), Counts{});  // nothing to split
+  EXPECT_EQ(defaults.partition_counts(5), (Counts{2, 4, 5}));  // no 5 again
+  EXPECT_EQ(defaults.partition_counts(1000), (Counts{2, 4, 8, 16}));
+  EXPECT_EQ(FallbackPolicy{.max_attempts = 0}.partition_counts(1000), Counts{});
+  EXPECT_EQ(FallbackPolicy{.initial_partitions = 1}.partition_counts(1000),
+            (Counts{2, 4, 8, 16}));
+}
+
+TEST(Engine, RejectsInvalidFallbackPolicy) {
+  EngineOptions bad_start;
+  bad_start.fallback.initial_partitions = 0;
+  EXPECT_THROW((void)Engine{bad_start}, CheckError);
+  EngineOptions bad_attempts;
+  bad_attempts.fallback.max_attempts = -1;
+  EXPECT_THROW((void)Engine{bad_attempts}, CheckError);
+}
+
 }  // namespace
 }  // namespace tlp

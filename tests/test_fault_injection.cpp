@@ -118,7 +118,7 @@ TEST(FaultInjection, DegradationCanBeDisabled) {
   Workload w = make_workload(models::ModelKind::kGcn, ring_graph(64));
   EngineOptions opts;
   opts.device.faults.oom_at_alloc = 1;
-  opts.degrade.enabled = false;
+  opts.fallback.max_attempts = 0;
   Engine engine(opts);
   EXPECT_THROW((void)engine.conv(w.g, w.feat, w.spec), OutOfMemory);
 }

@@ -31,6 +31,21 @@ TEST(CaseGen, DeterministicPerSeed) {
   EXPECT_EQ(graph::fingerprint(ga), graph::fingerprint(gb));
 }
 
+TEST(Oracles, SystemRunsCaseFollowsRunPull) {
+  models::ConvSpec weighted_gcn;
+  weighted_gcn.edge_weights = {1.0f};
+  models::ConvSpec two_head_gat;
+  two_head_gat.kind = models::ModelKind::kGat;
+  two_head_gat.gat.heads = 2;
+  models::ConvSpec sage;
+  sage.kind = models::ModelKind::kSage;
+  EXPECT_TRUE(system_runs_case("pull", weighted_gcn));
+  EXPECT_FALSE(system_runs_case("dgl", weighted_gcn));
+  EXPECT_FALSE(system_runs_case("dgl", two_head_gat));
+  EXPECT_TRUE(system_runs_case("pull", two_head_gat));
+  EXPECT_FALSE(system_runs_case("gnnadvisor", sage));
+}
+
 TEST(FuzzLoop, SmallRunIsCleanAndDeterministic) {
   FuzzOptions opts;
   opts.seed = 7;

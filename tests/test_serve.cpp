@@ -332,7 +332,7 @@ TEST(Server, UnrecoverableStormFailsWithProvenance) {
   const World w = make_world();
   const auto traffic = generate_traffic(w.g, w.feat, small_traffic(16));
   ServerOptions s = small_server();
-  s.fallback.enabled = false;  // no ladder below direct retries
+  s.fallback.max_attempts = 0;  // no ladder below direct retries
   StormEvent storm;
   storm.at_request = 4;
   storm.plan.launch_every = 4;

@@ -221,7 +221,8 @@ int cmd_info(const Args& args) {
   for (const auto c : graph::degree_histogram(g))
     std::printf("%s ", human_count(static_cast<double>(c)).c_str());
   std::printf("\nhybrid heuristic would pick: %s assignment\n",
-              (g.num_vertices() > 1'000'000 || g.avg_degree() > 50.0)
+              systems::hybrid_heuristic(g.num_vertices(), g.avg_degree()) ==
+                      sim::Assignment::kSoftwarePool
                   ? "software-pool"
                   : "hardware-dynamic");
   return 0;
